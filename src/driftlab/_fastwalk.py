@@ -1,127 +1,8 @@
-"""Compiled inner loops for heavy simulations.
-
-All functions consume pre-drawn uniform variates so that the
-randomness stays keyed to the trial's own generator regardless of how
-the walk is executed.  Falls back to pure Python when numba is
-unavailable.
+"""Whether numba is importable, recorded as provenance in benchmark
+results.  No simulation path uses it: every walk runs through the
+Process interface in `montecarlo`.
 """
 
-import numpy as np
+import importlib.util
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-@njit(cache=True)
-def chain_walk_hit(state, cum, is_target, us):
-    """Advance a finite-chain walk until absorption or the uniforms
-    run out.  cum holds row-wise cumulative transition probabilities.
-
-    Returns (state, steps consumed, hit flag)."""
-    n_cols = cum.shape[1]
-    for i in range(us.shape[0]):
-        if is_target[state]:
-            return state, i, True
-        j = np.searchsorted(cum[state], us[i], side="right")
-        if j >= n_cols:
-            j = n_cols - 1
-        state = j
-    if is_target[state]:
-        return state, us.shape[0], True
-    return state, us.shape[0], False
-
-
-@njit(cache=True)
-def chain_walk_record(state, cum, us, out_states):
-    """Walk exactly len(us) steps, writing the visited state index
-    after each step (targets are absorbing rows, so the walk just
-    stays put once absorbed)."""
-    n_cols = cum.shape[1]
-    for i in range(us.shape[0]):
-        j = np.searchsorted(cum[state], us[i], side="right")
-        if j >= n_cols:
-            j = n_cols - 1
-        state = j
-        out_states[i] = state
-    return state
-
-
-@njit(cache=True)
-def leadingones_ea_hit(bits, p, us, max_steps):
-    """(1+1) EA on LeadingOnes for up to max_steps iterations.
-
-    bits is mutated in place; us must hold max_steps * n uniforms.
-    Returns (steps consumed, hit flag)."""
-    n = bits.shape[0]
-    lo = 0
-    while lo < n and bits[lo] == 1:
-        lo += 1
-    flips = np.empty(n, np.uint8)
-    off = 0
-    for t in range(max_steps):
-        if lo == n:
-            return t, True
-        any_flip = False
-        for j in range(n):
-            f = us[off + j] < p
-            flips[j] = 1 if f else 0
-            if f:
-                any_flip = True
-        off += n
-        if not any_flip:
-            continue
-        # leading ones of the candidate
-        cand_lo = 0
-        while cand_lo < n and (bits[cand_lo] ^ flips[cand_lo]) == 1:
-            cand_lo += 1
-        if cand_lo >= lo:
-            for j in range(n):
-                bits[j] = bits[j] ^ flips[j]
-            lo = cand_lo
-    return max_steps, lo == n
-
-
-@njit(cache=True)
-def leadingones_ea_record(bits, p, us, out_lo):
-    """(1+1) EA on LeadingOnes for len(out_lo) iterations, recording
-    the leading-ones count after each step."""
-    n = bits.shape[0]
-    lo = 0
-    while lo < n and bits[lo] == 1:
-        lo += 1
-    flips = np.empty(n, np.uint8)
-    off = 0
-    for t in range(out_lo.shape[0]):
-        if lo < n:
-            any_flip = False
-            for j in range(n):
-                f = us[off + j] < p
-                flips[j] = 1 if f else 0
-                if f:
-                    any_flip = True
-            off += n
-            if any_flip:
-                cand_lo = 0
-                while cand_lo < n and (bits[cand_lo] ^ flips[cand_lo]) == 1:
-                    cand_lo += 1
-                if cand_lo >= lo:
-                    for j in range(n):
-                        bits[j] = bits[j] ^ flips[j]
-                    lo = cand_lo
-        else:
-            off += n
-        out_lo[t] = lo
-    return lo
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None

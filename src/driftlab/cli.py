@@ -8,10 +8,8 @@ hitting time), `simulate` (seeded Monte Carlo).  Exit codes: 0 ok,
 
 import argparse
 import configparser
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import acceptance, bounds, montecarlo, oracle as oracle_mod, potentials, processes
 from .errors import CapacityError, ConfigError, DriftError, UnsupportedError
@@ -214,12 +212,12 @@ _CALCULATORS = {
 }
 
 
-def _threads() -> int:
-    raw = os.environ.get("DRIFT_THREADS", "")
+def _calculate(theorem_id: str, params: dict) -> bounds.BoundReport:
+    """Run one calculator; a missing parameter is a ConfigError naming it."""
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return max(1, min(8, os.cpu_count() or 1))
+        return _CALCULATORS[theorem_id](params)
+    except KeyError as exc:
+        raise ConfigError(f"{theorem_id} needs parameter {exc.args[0]!r}") from exc
 
 
 def _flags_text(report: bounds.BoundReport) -> str:
@@ -301,15 +299,10 @@ def run_experiment(config_path: str) -> int:
             process, cfg["trials"], cfg["seed"], cap=cap
         )
 
-    def one(entry):
-        theorem_id, params = entry
-        return _row_from_report(_CALCULATORS[theorem_id](params), oracle_value, stats)
-
-    if cfg["theorems"]:
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            rows = list(pool.map(one, cfg["theorems"]))
-    else:
-        rows = []
+    rows = [
+        _row_from_report(_calculate(theorem_id, params), oracle_value, stats)
+        for theorem_id, params in cfg["theorems"]
+    ]
 
     if cfg["horizon"] > 0 and cfg["plot"]:
         traj = montecarlo.simulate_trajectory(
@@ -333,9 +326,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    names = list(acceptance.CRITERIA if args.name == "paper_acceptance" else acceptance.QUICK)
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        rows = list(pool.map(lambda c: acceptance.CRITERIA[c](seed=args.seed), names))
+    names = acceptance.CRITERIA if args.name == "paper_acceptance" else acceptance.QUICK
+    rows = [acceptance.CRITERIA[c](seed=args.seed) for c in names]
     if args.output:
         emit_report(rows, args.format, args.output)
     sys.stdout.write(rows_to_csv(rows))
@@ -351,7 +343,7 @@ def _cmd_bound(args) -> int:
     params = {}
     for item in args.params:
         params.update(_parse_params(item))
-    report = _CALCULATORS[args.theorem_id](params)
+    report = _calculate(args.theorem_id, params)
     sys.stdout.write(
         f"{report.theorem_id} {report.direction} {report.bound:.12g}\n"
     )

@@ -2,9 +2,9 @@
 
 Trials are keyed by (seed, trial index) through SeedSequence spawn
 keys, so results are deterministic and independent of trial execution
-order.  Kernel-backed processes with modest state spaces run through
-a compiled finite-chain walk; the (1+1) EA on LeadingOnes has its own
-compiled walk; everything else steps through the Process interface.
+order.  Every process, kernel-backed or not, is simulated by the same
+loop over its Process interface (sample_initial, is_target, step), so
+a seed gives the same trials on every machine.
 """
 
 import math
@@ -13,13 +13,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from . import _fastwalk
-from .errors import CapacityError, ParameterError, UnsupportedError
-from .processes import FiniteChain, Process, to_finite_chain
+from .errors import ParameterError
+from .processes import Process
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-_FAST_CHAIN_LIMIT = 4096
-_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -60,36 +57,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
-def _try_chain(process: Process, max_states: int = _FAST_CHAIN_LIMIT):
-    if process.exact_kernel is None or process.initial_support is None:
-        return None
-    try:
-        return to_finite_chain(process, max_states=max_states)
-    except (CapacityError, UnsupportedError):
-        return None
-
-
-def _chain_arrays(chain: FiniteChain):
-    cum = np.cumsum(chain.kernel, axis=1)
-    is_target = np.zeros(len(chain.states), dtype=np.bool_)
-    for t in chain.targets:
-        is_target[t] = True
-    index = {s: i for i, s in enumerate(chain.states)}
-    return cum, is_target, index
-
-
-def _leadingones_ea_params(process: Process):
-    """Recognize the compiled-walk case by name convention; returns
-    (n, mutation rate) or None."""
-    name = process.name
-    if not name.startswith("OnePlusOneEA-leadingones("):
-        return None
-    body = name.split("(", 1)[1].rstrip(")")
-    parts = dict(kv.split("=") for kv in body.split(","))
-    return int(parts["n"]), float(parts["p"])
-
-
-def _hit_time_python(process: Process, rng, cap: int) -> int:
+def _hit_time(process: Process, rng, cap: int) -> int:
     state = process.sample_initial(rng)
     for t in range(cap + 1):
         if process.is_target(state):
@@ -101,63 +69,14 @@ def _hit_time_python(process: Process, rng, cap: int) -> int:
 
 
 def sample_hitting_times(
-    process: Process, trials: int, seed: int, cap: int,
-    mutation_rate: Optional[float] = None,
+    process: Process, trials: int, seed: int, cap: int
 ) -> np.ndarray:
     """Per-trial hitting times; censored trials are recorded as -1."""
     if trials < 1 or cap < 1:
         raise ParameterError("trials and cap must be at least 1")
     times = np.empty(trials, dtype=np.int64)
-
-    lo_params = _leadingones_ea_params(process)
-    if lo_params is not None and _fastwalk.HAVE_NUMBA:
-        lo_n, p = lo_params
-        if mutation_rate is not None:
-            p = mutation_rate
-        steps_per_chunk = max(1, _CHUNK // lo_n)
-        for trial in range(trials):
-            rng = trial_rng(seed, trial)
-            bits = np.asarray(process.sample_initial(rng), dtype=np.uint8)
-            done = 0
-            t_hit = -1
-            budget = min(64, steps_per_chunk)
-            while done < cap:
-                budget = min(budget, cap - done)
-                us = rng.random(budget * lo_n)
-                used, hit = _fastwalk.leadingones_ea_hit(bits, p, us, budget)
-                if hit:
-                    t_hit = done + used
-                    break
-                done += budget
-                budget = min(budget * 4, steps_per_chunk)
-            times[trial] = t_hit
-        return times
-
-    chain = _try_chain(process)
-    if chain is not None and _fastwalk.HAVE_NUMBA:
-        cum, is_target, index = _chain_arrays(chain)
-        for trial in range(trials):
-            rng = trial_rng(seed, trial)
-            state = index[process.sample_initial(rng)]
-            done = 0
-            t_hit = -1
-            budget = 256
-            while done < cap:
-                budget = min(budget, cap - done)
-                us = rng.random(budget)
-                state, used, hit = _fastwalk.chain_walk_hit(state, cum, is_target, us)
-                if hit:
-                    t_hit = done + used
-                    break
-                done += budget
-                budget = min(budget * 4, _CHUNK)
-            if t_hit < 0 and is_target[state]:
-                t_hit = done
-            times[trial] = t_hit
-        return times
-
     for trial in range(trials):
-        times[trial] = _hit_time_python(process, trial_rng(seed, trial), cap)
+        times[trial] = _hit_time(process, trial_rng(seed, trial), cap)
     return times
 
 
@@ -233,46 +152,10 @@ def simulate_trajectory(
         raise ParameterError("horizon must be >= 0 and trials >= 1")
     acc = np.zeros(horizon + 1)
     acc2 = np.zeros(horizon + 1)
-
-    lo_params = _leadingones_ea_params(process)
-    chain = None if lo_params is not None else _try_chain(process)
-
-    if lo_params is not None and _fastwalk.HAVE_NUMBA and horizon > 0:
-        lo_n, p = lo_params
-        for trial in range(trials):
-            rng = trial_rng(seed, trial)
-            bits = np.asarray(process.sample_initial(rng), dtype=np.uint8)
-            lo0 = 0
-            while lo0 < lo_n and bits[lo0] == 1:
-                lo0 += 1
-            out_lo = np.empty(horizon, dtype=np.int64)
-            us = rng.random(horizon * lo_n)
-            _fastwalk.leadingones_ea_record(bits, p, us, out_lo)
-            vals = np.empty(horizon + 1)
-            vals[0] = lo_n - lo0
-            vals[1:] = lo_n - out_lo
-            acc += vals
-            acc2 += vals * vals
-    elif chain is not None and _fastwalk.HAVE_NUMBA and horizon > 0:
-        cum, is_target, index = _chain_arrays(chain)
-        state_values = np.array([process.value(s) for s in chain.states])
-        out_states = np.empty(horizon, dtype=np.int64)
-        for trial in range(trials):
-            rng = trial_rng(seed, trial)
-            s0 = index[process.sample_initial(rng)]
-            us = rng.random(horizon)
-            _fastwalk.chain_walk_record(s0, cum, us, out_states)
-            vals = np.empty(horizon + 1)
-            vals[0] = state_values[s0]
-            vals[1:] = state_values[out_states]
-            acc += vals
-            acc2 += vals * vals
-    else:
-        for trial in range(trials):
-            vals = sample_trajectory(process, horizon, seed, trial)
-            acc += vals
-            acc2 += vals * vals
-
+    for trial in range(trials):
+        vals = sample_trajectory(process, horizon, seed, trial)
+        acc += vals
+        acc2 += vals * vals
     mean = acc / trials
     var = np.maximum(acc2 / trials - mean * mean, 0.0)
     if trials > 1:

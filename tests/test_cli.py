@@ -243,6 +243,29 @@ def test_bound_command_unknown_id(capsys):
     assert "mult.upper" in err  # lists the known ids
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "mult.upper"], "mult.upper needs parameter 'e_x0'"),
+        (["bound", "fss.upper", "--params", "x0=2"], "fss.upper needs parameter 'p_leave'"),
+    ],
+)
+def test_bound_command_names_missing_parameter(argv, message, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"drift: error: {message}\n"
+
+
+def test_run_names_missing_theorem_parameter(tmp_path, capsys):
+    cfg = GOOD_CONFIG.replace("e_x0=20, delta=0.05", "e_x0=20")
+    code = main(["run", _write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "mult.upper needs parameter 'delta'" in captured.err
+
+
 def test_oracle_command(capsys):
     code = main(["oracle", "coupon(n=20)"])
     out = capsys.readouterr().out

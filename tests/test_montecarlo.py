@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftlab import errors
 from driftlab.montecarlo import (
@@ -20,8 +21,21 @@ from driftlab.montecarlo import (
     wilson_interval,
 )
 from driftlab.oracle import hitting_time_exact
-from driftlab.potentials import expected_time_potential, identity_potential, lift
-from driftlab.processes import make_ea_process, make_simple_chain, to_finite_chain
+from driftlab.potentials import (
+    Potential,
+    expected_time_potential,
+    identity_potential,
+    lift,
+)
+from driftlab.processes import (
+    _chain_process,
+    make_ea_process,
+    make_simple_chain,
+    make_sorting_process,
+    make_two_sat_process,
+    planted_2sat,
+    to_finite_chain,
+)
 
 
 def test_same_seed_gives_identical_times():
@@ -38,18 +52,6 @@ def test_trials_are_order_independent():
     few = sample_hitting_times(proc, trials=5, seed=3, cap=10000)
     many = sample_hitting_times(proc, trials=12, seed=3, cap=10000)
     assert np.array_equal(few, many[:5])
-
-
-def test_python_and_compiled_paths_agree():
-    # the two paths consume randomness differently, so compare
-    # distributions rather than individual trials
-    proc = make_simple_chain("coupon", n=10)
-    generic = dataclasses.replace(proc, exact_kernel=None)
-    fast = sample_hitting_times(proc, trials=4000, seed=5, cap=10000)
-    slow = sample_hitting_times(generic, trials=4000, seed=5, cap=10000)
-    assert fast.min() >= 0 and slow.min() >= 0
-    se = math.sqrt(fast.var(ddof=1) / len(fast) + slow.var(ddof=1) / len(slow))
-    assert abs(fast.mean() - slow.mean()) <= 4.0 * se
 
 
 def test_censoring_marks_and_bounds():
@@ -200,26 +202,6 @@ def test_trajectory_stats_shape_and_monotone_mean_for_coupon():
     assert np.all(stats.ci_lo <= stats.mean) and np.all(stats.mean <= stats.ci_hi)
 
 
-def test_trajectory_compiled_and_python_paths_agree():
-    proc = make_simple_chain("coupon", n=8)
-    generic = dataclasses.replace(proc, exact_kernel=None)
-    a = simulate_trajectory(proc, horizon=20, trials=4000, seed=9)
-    b = simulate_trajectory(generic, horizon=20, trials=4000, seed=9)
-    # pointwise agreement within the union of the 99% bands
-    assert np.all(a.ci_lo <= b.ci_hi) and np.all(b.ci_lo <= a.ci_hi)
-
-
-def test_leadingones_compiled_walk_matches_generic_stepper():
-    proc = make_ea_process("OnePlusOneEA", "leadingones", n=8, mutation_rate=0.1)
-    generic = dataclasses.replace(proc, name="generic-lo(n=8)")
-    fast = sample_hitting_times(proc, trials=2000, seed=21, cap=100000)
-    slow = sample_hitting_times(generic, trials=2000, seed=21, cap=100000)
-    assert fast.min() >= 0 and slow.min() >= 0
-    # paths consume randomness differently, so compare distributions
-    se = math.sqrt(fast.var(ddof=1) / len(fast) + slow.var(ddof=1) / len(slow))
-    assert abs(fast.mean() - slow.mean()) <= 4.0 * se
-
-
 def test_parameter_validation():
     proc = make_simple_chain("coupon", n=4)
     with pytest.raises(errors.ParameterError):
@@ -238,3 +220,113 @@ def test_trial_rng_streams_are_distinct():
     c = trial_rng(0, 0).random(4)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, c)
+
+
+# --- every simulation matches the Process reference loop trial by trial ----
+
+def _reference_run(process, trials, seed, cap, horizon):
+    """Hitting times and value curves from a plain loop over the
+    Process interface, one trial_rng stream per trial."""
+    times = np.empty(trials, dtype=np.int64)
+    curves = np.empty((trials, horizon + 1))
+    for i in range(trials):
+        rng = trial_rng(seed, i)
+        state = process.sample_initial(rng)
+        t = 0
+        while not process.is_target(state):
+            if t == cap:
+                t = -1
+                break
+            state = process.step(state, rng)
+            t += 1
+        times[i] = t
+
+        rng = trial_rng(seed, i)
+        state = process.sample_initial(rng)
+        curves[i, 0] = process.value(state)
+        for t in range(1, horizon + 1):
+            if not process.is_target(state):
+                state = process.step(state, rng)
+            curves[i, t] = process.value(state)
+    return times, curves
+
+
+def _assert_matches_reference(process, trials, seed, cap, horizon):
+    times, curves = _reference_run(process, trials, seed, cap, horizon)
+    assert np.array_equal(sample_hitting_times(process, trials, seed, cap), times)
+    for i in range(trials):
+        assert np.array_equal(sample_trajectory(process, horizon, seed, i), curves[i])
+    stats = simulate_trajectory(process, horizon, trials, seed)
+    np.testing.assert_allclose(stats.mean, curves.mean(axis=0), rtol=0, atol=1e-12)
+
+
+_CATALOG = {
+    "coupon": lambda: make_simple_chain("coupon", n=10),
+    "geometric": lambda: make_simple_chain("geometric", p=0.3),
+    "winning_streak": lambda: make_simple_chain("winning_streak", k=4),
+    "gamblers_ruin": lambda: make_simple_chain("gamblers_ruin", n=5),
+    "fair_walk_reflecting": lambda: make_simple_chain("fair_walk_reflecting", n=5),
+    "rumor": lambda: make_simple_chain("rumor", n=10),
+    "RLS-onemax": lambda: make_ea_process("RLS", "onemax", n=8),
+    "EA-onemax": lambda: make_ea_process("OnePlusOneEA", "onemax", n=8),
+    "RLS-plateau": lambda: make_ea_process("RLS", "plateau", n=8, k=2),
+    "EA-plateau": lambda: make_ea_process("OnePlusOneEA", "plateau", n=8, k=2),
+    "EA-leadingones": lambda: make_ea_process(
+        "OnePlusOneEA", "leadingones", n=8, mutation_rate=0.1
+    ),
+    "RLS-leadingones": lambda: make_ea_process("RLS", "leadingones", n=6),
+    "sorting": lambda: make_sorting_process(4, (4, 3, 2, 1)),
+    "two_sat": lambda: make_two_sat_process(planted_2sat(6, 8, seed=4)),
+}
+
+
+@pytest.mark.parametrize("cap", [10_000, 5])
+@pytest.mark.parametrize("name", sorted(_CATALOG))
+def test_simulation_matches_reference_loop_trial_by_trial(name, cap):
+    _assert_matches_reference(_CATALOG[name](), trials=60, seed=17, cap=cap, horizon=25)
+
+
+@st.composite
+def _small_chains(draw):
+    m = draw(st.integers(min_value=2, max_value=6))
+    weights = st.lists(st.integers(min_value=0, max_value=4), min_size=m, max_size=m)
+    rows = []
+    for _ in range(m):
+        w = draw(weights.filter(any))
+        rows.append([(j, wj / sum(w)) for j, wj in enumerate(w) if wj])
+    start = draw(weights.filter(any))
+    targets = draw(st.sets(st.integers(min_value=0, max_value=m - 1), min_size=1))
+    return _chain_process(
+        "random-chain",
+        lambda s: rows[s],
+        [(j, wj / sum(start)) for j, wj in enumerate(start) if wj],
+        value=float,
+        is_target=lambda s: s in targets,
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(process=_small_chains(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_random_chains_match_reference_loop_trial_by_trial(process, seed):
+    _assert_matches_reference(process, trials=20, seed=seed, cap=40, horizon=10)
+
+
+def test_lifted_leadingones_ea_simulates_through_its_own_value():
+    # lift() appends "|zeros" to the name; simulation must neither parse
+    # the name nor replace the lifted value by n - LO
+    plain = make_ea_process("OnePlusOneEA", "leadingones", n=10, mutation_rate=0.1)
+    zeros = Potential(eval=lambda bits: float(bits.count(0)), description="zeros")
+    lifted = lift(plain, zeros)
+    assert np.array_equal(
+        sample_hitting_times(lifted, trials=40, seed=5, cap=100_000),
+        sample_hitting_times(plain, trials=40, seed=5, cap=100_000),
+    )
+
+    horizon, trials = 40, 30
+    stats = simulate_trajectory(lifted, horizon=horizon, trials=trials, seed=5)
+    curves = [sample_trajectory(lifted, horizon, 5, i) for i in range(trials)]
+    np.testing.assert_allclose(stats.mean, np.mean(curves, axis=0), rtol=0, atol=1e-12)
+    unlifted = simulate_trajectory(plain, horizon=horizon, trials=trials, seed=5)
+    # zeros never exceed n - LO, and fall short of it at the uniform start
+    assert np.all(stats.mean <= unlifted.mean)
+    assert stats.mean[0] < unlifted.mean[0]
