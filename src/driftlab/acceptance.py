@@ -7,6 +7,7 @@ scenario; "quick" runs a fast oracle-only subset.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,11 +25,10 @@ from .bounds import (
     WormaldSystem,
 )
 from .errors import ParameterError
-from .montecarlo import simulate_hitting, simulate_trajectory, trial_rng
+from .montecarlo import Z99, simulate_hitting, simulate_trajectory, trial_rng
 from .processes import FiniteChain, make_ea_process, make_simple_chain, to_finite_chain
-from .report import ComparisonRow, verdict_for
+from .report import VIOLATED, ComparisonRow, comparison_row
 
-_Z99 = 2.5758293035489004
 _EXACT = 1e-9
 
 
@@ -36,43 +36,16 @@ def _close(a: float, b: float, tol: float = _EXACT) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def _subs_text(subs) -> str:
-    return ";".join(f"{name}={'pass' if ok else 'fail'}" for name, ok in subs)
-
-
 def _row(
-    theorem_id: str,
-    direction: str,
-    bound: float,
-    oracle_value=None,
-    stats=None,
-    sim=None,
-    subs=(),
+    theorem_id: str, direction: str, bound: float, oracle_value=None, sim=None, subs=()
 ) -> ComparisonRow:
-    """Assemble a row; sim is an optional (mean, se) pair when the
-    simulation summary does not come from a RunStats."""
-    sim_mean = sim_lo = sim_hi = None
-    sim_se = None
-    if stats is not None:
-        sim_mean, sim_se = stats.mean, stats.se
-        sim_lo, sim_hi = stats.ci99
-    elif sim is not None:
-        sim_mean, sim_se = sim
-        sim_lo, sim_hi = sim_mean - _Z99 * sim_se, sim_mean + _Z99 * sim_se
-    verdict = verdict_for(direction, bound, oracle_value, sim_mean, sim_se)
+    """A comparison row whose preconditions are the sub-checks; a failed
+    sub-check makes the row violated."""
+    text = ";".join(f"{name}={'pass' if ok else 'fail'}" for name, ok in subs)
+    row = comparison_row(theorem_id, direction, bound, oracle_value, sim, text)
     if any(not ok for _, ok in subs):
-        verdict = "violated"
-    return ComparisonRow(
-        theorem_id=theorem_id,
-        direction=direction,
-        bound=bound,
-        oracle=oracle_value,
-        sim_mean=sim_mean,
-        sim_ci_lo=sim_lo,
-        sim_ci_hi=sim_hi,
-        preconditions=_subs_text(subs),
-        verdict=verdict,
-    )
+        row = replace(row, verdict=VIOLATED)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +95,7 @@ def check_ruin_square(seed: int = 0) -> ComparisonRow:
     subs.append(("no_censoring", stats.censored == 0))
     return _row(
         "additive.upper", UPPER_ON_ET, upper,
-        oracle_value=float(n * n), stats=stats, subs=subs,
+        oracle_value=float(n * n), sim=(stats.mean, stats.se), subs=subs,
     )
 
 
@@ -248,7 +221,7 @@ def check_leadingones_exactness(seed: int = 0) -> ComparisonRow:
     return _row(
         "flm.visit.upper", UPPER_ON_ET,
         bounds.flm_visit_upper(profile).bound,
-        oracle_value=exact, stats=stats, subs=subs,
+        oracle_value=exact, sim=(stats.mean, stats.se), subs=subs,
     )
 
 
@@ -256,22 +229,28 @@ def check_leadingones_exactness(seed: int = 0) -> ComparisonRow:
 # 6. Triangle recolouring walk on planted 3-colorable graphs
 # ---------------------------------------------------------------------------
 
-def check_recolour_walk(seed: int = 0) -> ComparisonRow:
-    n, graphs, trials_per = 30, 20, 100
-    bound = 3.0 * n * n / 8.0
-    all_times = []
-    for i in range(graphs):
-        inst = processes.random_3colorable_graph(n, 0.5, seed=seed + 600 + i)
-        proc = processes.make_graph_process("recolour", inst)
-        times = montecarlo.sample_hitting_times(
-            proc, trials_per, seed + 700 + i, cap=100_000
-        )
-        all_times.append(times)
-    pooled = np.concatenate(all_times).astype(float)
+def _pooled_walk_row(bound: float, procs, seed: int) -> ComparisonRow:
+    """Pool 100 trials of each walk, the i-th seeded with seed + i, and
+    check their mean against an additive upper bound."""
+    pooled = np.concatenate([
+        montecarlo.sample_hitting_times(proc, 100, seed + i, cap=100_000)
+        for i, proc in enumerate(procs)
+    ]).astype(float)
     subs = [("no_censoring", bool(np.all(pooled >= 0)))]
     mean = float(np.mean(pooled))
     se = float(np.std(pooled, ddof=1) / math.sqrt(len(pooled)))
     return _row("additive.upper", UPPER_ON_ET, bound, sim=(mean, se), subs=subs)
+
+
+def check_recolour_walk(seed: int = 0) -> ComparisonRow:
+    n = 30
+    procs = (
+        processes.make_graph_process(
+            "recolour", processes.random_3colorable_graph(n, 0.5, seed=seed + 600 + i)
+        )
+        for i in range(20)
+    )
+    return _pooled_walk_row(3.0 * n * n / 8.0, procs, seed + 700)
 
 
 # ---------------------------------------------------------------------------
@@ -279,21 +258,12 @@ def check_recolour_walk(seed: int = 0) -> ComparisonRow:
 # ---------------------------------------------------------------------------
 
 def check_two_sat_walk(seed: int = 0) -> ComparisonRow:
-    n, m, instances, trials_per = 20, 40, 20, 100
-    bound = float(n * n)
-    all_times = []
-    for i in range(instances):
-        inst = processes.planted_2sat(n, m, seed=seed + 800 + i)
-        proc = processes.make_two_sat_process(inst)
-        times = montecarlo.sample_hitting_times(
-            proc, trials_per, seed + 900 + i, cap=100_000
-        )
-        all_times.append(times)
-    pooled = np.concatenate(all_times).astype(float)
-    subs = [("no_censoring", bool(np.all(pooled >= 0)))]
-    mean = float(np.mean(pooled))
-    se = float(np.std(pooled, ddof=1) / math.sqrt(len(pooled)))
-    return _row("additive.upper", UPPER_ON_ET, bound, sim=(mean, se), subs=subs)
+    n, m = 20, 40
+    procs = (
+        processes.make_two_sat_process(processes.planted_2sat(n, m, seed=seed + 800 + i))
+        for i in range(20)
+    )
+    return _pooled_walk_row(float(n * n), procs, seed + 900)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +325,8 @@ def check_rumor_levels(seed: int = 0) -> ComparisonRow:
     subs.append(("no_censoring", stats.censored == 0))
     subs.append(("mean_within_3se", abs(stats.mean - exact) <= 3.0 * stats.se))
     return _row(
-        "flm.upper", UPPER_ON_ET, relaxed, oracle_value=exact, stats=stats, subs=subs
+        "flm.upper", UPPER_ON_ET, relaxed,
+        oracle_value=exact, sim=(stats.mean, stats.se), subs=subs,
     )
 
 
@@ -387,7 +358,7 @@ def check_fixed_budget(seed: int = 0) -> ComparisonRow:
     proc = make_ea_process("OnePlusOneEA", "onemax", n=n)
     traj = simulate_trajectory(proc, horizon=t, trials=100_000, seed=seed + 1100)
     mean_dist = float(traj.mean[t])
-    se = (float(traj.ci_hi[t]) - mean_dist) / _Z99
+    se = (float(traj.ci_hi[t]) - mean_dist) / Z99
     fitness = n - mean_dist
     subs = [
         ("greed_admitting", all(f.status == "pass" for f in rep.preconditions
@@ -399,7 +370,7 @@ def check_fixed_budget(seed: int = 0) -> ComparisonRow:
     proc_lo = make_ea_process("OnePlusOneEA", "leadingones", n=n)
     traj_lo = simulate_trajectory(proc_lo, horizon=lo_t, trials=5000, seed=seed + 1200)
     lo_mean = n - float(traj_lo.mean[lo_t])
-    lo_se = (float(traj_lo.ci_hi[lo_t]) - float(traj_lo.mean[lo_t])) / _Z99
+    lo_se = (float(traj_lo.ci_hi[lo_t]) - float(traj_lo.mean[lo_t])) / Z99
     c = 2.0 - 2.0 ** (2 - n)
     h_lo = DriftFunction(eval=lambda d: c * d / n**2)
     rep_lo = bounds.fixed_budget_variable(h_lo, n - 1.0 + 2.0**-n, lo_t)

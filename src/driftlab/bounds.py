@@ -15,6 +15,7 @@ import numpy as np
 import scipy.integrate
 
 from .errors import ParameterError
+from .oracle import _double_sum
 
 # directions a bound can take
 UPPER_ON_ET = "upper_on_ET"
@@ -481,32 +482,13 @@ def negative_drift_condition_check(
 # Finite state spaces
 # ---------------------------------------------------------------------------
 
-def _finite_state_double_sum(p_down, p_up, x0: int) -> float:
-    from .oracle import _stable_double_sum
-
-    p_down = [float(p) for p in p_down]
-    n = len(p_down)
-    for s, pd in enumerate(p_down, start=1):
-        if pd <= 0.0:
-            raise ParameterError(f"leave probability at state {s} must be positive")
-    if len(p_up) != n:
-        raise ParameterError("p_up must cover states [0..n-1]")
-    if not (0 <= x0 <= n):
-        raise ParameterError(f"X0 {x0} outside [0..{n}]")
-    down_at = [0.0] + p_down
-    up_at = [0.0] * (n + 1)
-    for s in range(1, n):
-        up_at[s] = float(p_up[s])
-    return _stable_double_sum(down_at, up_at, x0, n)
-
-
 def finite_state_upper(p_leave, p_back, x0: int) -> BoundReport:
     """Double-sum upper bound for chains on [0..n] with up-steps of 1.
 
     p_leave[s-1] lower-bounds the probability of decreasing from s,
     p_back[s] upper-bounds the probability of increasing from s.
     """
-    value = _finite_state_double_sum(p_leave, p_back, x0)
+    value = _double_sum(p_leave, p_back, x0)
     return BoundReport(
         theorem_id="fss.upper",
         inputs={"n": len(p_leave), "X0": x0},
@@ -524,7 +506,7 @@ def finite_state_lower(p_fwd, p_back_lb, x0: int) -> BoundReport:
     """Double-sum lower bound; p_fwd[s-1] upper-bounds the probability
     of decreasing (by exactly 1) from s, p_back_lb[s] lower-bounds the
     probability of increasing from s."""
-    value = _finite_state_double_sum(p_fwd, p_back_lb, x0)
+    value = _double_sum(p_fwd, p_back_lb, x0)
     return BoundReport(
         theorem_id="fss.lower",
         inputs={"n": len(p_fwd), "X0": x0},
@@ -622,13 +604,10 @@ def headwind_closed(params: HeadwindParams) -> BoundReport:
     kappa = params.kappa
     tail_sum = sum(1.0 / params.delta[k] for k in range(kappa + 1, n + 1))
     prod = 1.0
-    for k in range(1, kappa + 1):
-        prod *= (params.p_plus[k] + params.p_minus[k]) / params.p_minus[k]
     loop_sum = 0.0
-    running = 1.0
     for k in range(1, kappa + 1):
-        loop_sum += running / params.p_minus[k]
-        running *= (params.p_plus[k] + params.p_minus[k]) / params.p_minus[k]
+        loop_sum += prod / params.p_minus[k]
+        prod *= (params.p_plus[k] + params.p_minus[k]) / params.p_minus[k]
     return BoundReport(
         theorem_id="headwind.closed",
         inputs={"n": n, "kappa": kappa},

@@ -13,14 +13,7 @@ import sys
 
 from . import acceptance, bounds, montecarlo, oracle as oracle_mod, potentials, processes
 from .errors import CapacityError, ConfigError, DriftError, UnsupportedError
-from .report import (
-    ComparisonRow,
-    VIOLATED,
-    emit_plot_data,
-    emit_report,
-    rows_to_csv,
-    verdict_for,
-)
+from .report import VIOLATED, comparison_row, emit_plot_data, emit_report, rows_to_csv
 
 _CALL_RE = re.compile(r"^\s*([A-Za-z_][\w.-]*)\s*(?:\((.*)\))?\s*$")
 
@@ -116,9 +109,14 @@ def _drift_fn(value) -> bounds.DriftFunction:
 
 
 def _floats(value):
-    if not isinstance(value, list):
-        raise ConfigError(f"expected a colon-separated list, got {value!r}")
-    return [float(v) for v in value]
+    """A colon-separated list; a single number is a one-element list."""
+    return [float(v) for v in (value if isinstance(value, list) else [value])]
+
+
+def _level_profile(p, visits=False) -> bounds.LevelProfile:
+    probs = tuple(_floats(p["p"]))
+    v = tuple(_floats(p["v"])) if visits else None
+    return bounds.LevelProfile(m=len(probs) + 1, p=probs, v=v)
 
 
 def _calc_headwind(p, x0=None, closed=False):
@@ -187,19 +185,9 @@ _CALCULATORS = {
             gamma0=p["gamma0"], z=tuple(_floats(p["z"])),
         )
     ),
-    "flm.upper": lambda p: bounds.flm_upper(
-        bounds.LevelProfile(m=len(p["p"]) + 1, p=tuple(_floats(p["p"])))
-    ),
-    "flm.visit.lower": lambda p: bounds.flm_visit_lower(
-        bounds.LevelProfile(
-            m=len(p["p"]) + 1, p=tuple(_floats(p["p"])), v=tuple(_floats(p["v"]))
-        )
-    ),
-    "flm.visit.upper": lambda p: bounds.flm_visit_upper(
-        bounds.LevelProfile(
-            m=len(p["p"]) + 1, p=tuple(_floats(p["p"])), v=tuple(_floats(p["v"]))
-        )
-    ),
+    "flm.upper": lambda p: bounds.flm_upper(_level_profile(p)),
+    "flm.visit.lower": lambda p: bounds.flm_visit_lower(_level_profile(p, visits=True)),
+    "flm.visit.upper": lambda p: bounds.flm_visit_upper(_level_profile(p, visits=True)),
     "budget.add": lambda p: bounds.fixed_budget_additive(
         p["x0"], p["delta"], int(p["t"]), p.get("pr_t_le_t")
     ),
@@ -212,8 +200,23 @@ _CALCULATORS = {
 }
 
 
+# parameters whose values are words or drift-function shorthands
+_WORD_KEYS = frozenset({"profile", "variant", "domain", "h"})
+
+
+def _numeric(value) -> bool:
+    items = value if isinstance(value, list) else [value]
+    return all(isinstance(v, (int, float)) for v in items)
+
+
 def _calculate(theorem_id: str, params: dict) -> bounds.BoundReport:
-    """Run one calculator; a missing parameter is a ConfigError naming it."""
+    """Run one calculator; a missing or non-numeric parameter is a
+    ConfigError naming it."""
+    for key, value in params.items():
+        if key not in _WORD_KEYS and not _numeric(value):
+            raise ConfigError(
+                f"{theorem_id} parameter {key!r} must be numeric, got {value!r}"
+            )
     try:
         return _CALCULATORS[theorem_id](params)
     except KeyError as exc:
@@ -224,24 +227,16 @@ def _flags_text(report: bounds.BoundReport) -> str:
     return ";".join(f"{f.name}={f.status}" for f in report.preconditions)
 
 
-def _row_from_report(report, oracle_value, stats) -> ComparisonRow:
-    sim_mean = sim_lo = sim_hi = sim_se = None
-    if stats is not None:
-        sim_mean, sim_se = stats.mean, stats.se
-        sim_lo, sim_hi = stats.ci99
-    return ComparisonRow(
-        theorem_id=report.theorem_id,
-        direction=report.direction,
-        bound=report.bound,
-        oracle=oracle_value,
-        sim_mean=sim_mean,
-        sim_ci_lo=sim_lo,
-        sim_ci_hi=sim_hi,
-        preconditions=_flags_text(report),
-        verdict=verdict_for(
-            report.direction, report.bound, oracle_value, sim_mean, sim_se
-        ),
-    )
+def _sim_evidence(stats, direction: str):
+    """(mean, se) of the finished trials, or None where they cannot judge
+    the bound: with no finished trial there is no mean, and with any
+    censored trial the mean understates E[T], so it cannot refute a
+    lower bound."""
+    if stats is None or stats.censored == stats.trials:
+        return None
+    if stats.censored and direction == bounds.LOWER_ON_ET:
+        return None
+    return stats.mean, stats.se
 
 
 def load_config(path: str) -> dict:
@@ -294,15 +289,17 @@ def run_experiment(config_path: str) -> int:
 
     stats = None
     if cfg["trials"] > 0:
-        cap = cfg["cap"] if cfg["cap"] is not None else montecarlo.default_cap()
         stats = montecarlo.simulate_hitting(
-            process, cfg["trials"], cfg["seed"], cap=cap
+            process, cfg["trials"], cfg["seed"], cap=cfg["cap"]
         )
 
-    rows = [
-        _row_from_report(_calculate(theorem_id, params), oracle_value, stats)
-        for theorem_id, params in cfg["theorems"]
-    ]
+    rows = []
+    for theorem_id, params in cfg["theorems"]:
+        report = _calculate(theorem_id, params)
+        rows.append(comparison_row(
+            report.theorem_id, report.direction, report.bound, oracle_value,
+            _sim_evidence(stats, report.direction), _flags_text(report),
+        ))
 
     if cfg["horizon"] > 0 and cfg["plot"]:
         traj = montecarlo.simulate_trajectory(
@@ -326,8 +323,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    names = acceptance.CRITERIA if args.name == "paper_acceptance" else acceptance.QUICK
-    rows = [acceptance.CRITERIA[c](seed=args.seed) for c in names]
+    rows = acceptance.run_suite(args.name, args.seed)
     if args.output:
         emit_report(rows, args.format, args.output)
     sys.stdout.write(rows_to_csv(rows))
@@ -362,8 +358,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_simulate(args) -> int:
     process = parse_process(args.process)
-    cap = args.cap if args.cap is not None else montecarlo.default_cap()
-    stats = montecarlo.simulate_hitting(process, args.trials, args.seed, cap=cap)
+    stats = montecarlo.simulate_hitting(process, args.trials, args.seed, cap=args.cap)
     sys.stdout.write(
         f"mean {stats.mean:.12g} ci99 ({stats.ci99[0]:.12g}, {stats.ci99[1]:.12g}) "
         f"censored {stats.censored}/{stats.trials}\n"

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ParameterError
 from .processes import Process
 
-_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def _stats_from_times(times: np.ndarray, cap: int) -> RunStats:
     if good.size:
         mean = float(np.mean(good))
         var = float(np.var(good, ddof=1)) if good.size > 1 else 0.0
-        half = _Z99 * math.sqrt(var / good.size)
+        half = Z99 * math.sqrt(var / good.size)
         ci = (mean - half, mean + half)
     else:
         mean, var, ci = float("nan"), float("nan"), (float("nan"), float("nan"))
@@ -160,7 +160,7 @@ def simulate_trajectory(
     var = np.maximum(acc2 / trials - mean * mean, 0.0)
     if trials > 1:
         var = var * trials / (trials - 1)
-    half = _Z99 * np.sqrt(var / trials)
+    half = Z99 * np.sqrt(var / trials)
     return TrajectoryStats(
         horizon=horizon, trials=trials, mean=mean,
         ci_lo=mean - half, ci_hi=mean + half,
@@ -195,7 +195,7 @@ def estimate_drift(process: Process, potential, state, samples: int, seed: int):
     vals = base - _one_step_samples(process, potential, state, samples, rng)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return est, (est - _Z99 * se, est + _Z99 * se)
+    return est, (est - Z99 * se, est + Z99 * se)
 
 
 def _sample_states(process, rng, limit=50, keep=None, max_steps=10_000):
@@ -294,7 +294,7 @@ def verify_condition(
             probs = None
             mean_drop = float(np.mean(vals))
             se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-            ci = (mean_drop - _Z99 * se, mean_drop + _Z99 * se)
+            ci = (mean_drop - Z99 * se, mean_drop + Z99 * se)
 
         if condition_id in ("additive_D", "multiplicative_D", "variable_D"):
             if condition_id == "additive_D":
@@ -325,7 +325,7 @@ def verify_condition(
             else:
                 var = float(np.var(diffs, ddof=1))
                 var_se = var * math.sqrt(2.0 / max(len(diffs) - 1, 1))
-                ci = (var - _Z99 * var_se, var + _Z99 * var_se)
+                ci = (var - Z99 * var_se, var + Z99 * var_se)
                 ok = ci[1] >= delta
             estimate = var
         elif condition_id == "step_bound_B":
@@ -353,7 +353,7 @@ def verify_condition(
             else:
                 freq = float(np.mean(diffs >= cut))
                 p_se = math.sqrt(max(freq * (1 - freq), 1e-12) / len(diffs))
-                ci = (freq - _Z99 * p_se, freq + _Z99 * p_se)
+                ci = (freq - Z99 * p_se, freq + Z99 * p_se)
                 ok = ci[0] <= limit
             estimate = freq
         elif condition_id == "monotone_M":
@@ -383,7 +383,7 @@ def verify_condition(
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple:
+def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple:
     """Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")

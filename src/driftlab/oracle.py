@@ -6,7 +6,7 @@ and level chain, harmonic numbers and exact level visit probabilities.
 """
 
 from dataclasses import dataclass
-from math import exp, log
+from math import exp, inf, log
 from typing import Callable
 
 import numpy as np
@@ -96,39 +96,55 @@ def hitting_time_exact(chain: FiniteChain) -> HittingTimeSolution:
     )
 
 
-def _stable_double_sum(p_down_at, p_up_at, x0: int, n: int) -> float:
+def _double_sum(p_down, p_up, start: int) -> float:
     """Sum over start levels s of sum over i >= s of the reciprocal
     down-probability weighted by the running up/down ratio product.
 
-    Both inputs are indexed by state: p_down_at[i] for i in [1..n],
-    p_up_at[j] for j in [1..n-1] (index 0 unused).  Products are
-    tracked with running updates and switch to log space once they
-    leave the safe float range; a zero up-probability truncates the
-    inner sum exactly.
+    p_down[s-1] belongs to state s in [1..n], p_up[s] to state s in
+    [0..n-1] (p_up[0] is unused).  Products are tracked with running
+    updates and switch to log space once they leave the safe float
+    range; a zero up-probability truncates the inner sum exactly, and
+    a term beyond the float range counts as inf.
     """
+    p_down = [float(p) for p in p_down]
+    p_up = [float(p) for p in p_up]
+    n = len(p_down)
+    if len(p_up) != n:
+        raise ParameterError("p_up must cover states [0..n-1]")
+    if not (0 <= start <= n):
+        raise ParameterError(f"start {start} outside [0..{n}]")
+    for s, pd in enumerate(p_down, start=1):
+        if pd <= 0.0:
+            raise ParameterError(f"p_down at state {s} must be positive")
     total = 0.0
-    for s in range(1, x0 + 1):
+    for s in range(1, start + 1):
         prod = 1.0
         log_prod = 0.0
         use_log = False
         for i in range(s, n + 1):
-            pd = p_down_at[i]
+            pd = p_down[i - 1]
             if use_log:
-                term = exp(log_prod - log(pd))
+                try:
+                    term = exp(log_prod - log(pd))
+                except OverflowError:
+                    term = inf
             else:
                 term = prod / pd
             total += term
             if i < n:
-                ratio = p_up_at[i] / pd
+                ratio = p_up[i] / pd
                 if ratio == 0.0:
                     break
                 if use_log:
                     log_prod += log(ratio)
                 else:
-                    prod *= ratio
-                    if not (1e-300 < prod < 1e300):
+                    scaled = prod * ratio
+                    if 1e-300 < scaled < 1e300:
+                        prod = scaled
+                    else:
                         use_log = True
-                        log_prod = log(prod)
+                        # a product that underflows to 0 takes its log from the factors
+                        log_prod = log(scaled) if scaled else log(prod) + log(ratio)
     return total
 
 
@@ -140,27 +156,10 @@ def birth_death_exact(p_down, p_up, start: int) -> float:
     [0..n-1], with p_up of the top state treated as 0).  With exact
     inputs this equals the absorbing-chain linear solve.
     """
-    p_down = [float(p) for p in p_down]
-    n = len(p_down)
-    p_up = [float(p) for p in p_up]
-    if len(p_up) != n:
-        raise ParameterError("p_up must cover states [0..n-1]")
-    if not (0 <= start <= n):
-        raise ParameterError(f"start {start} outside [0..{n}]")
-    for s, pd in enumerate(p_down, start=1):
-        if pd <= 0.0:
-            raise ParameterError(f"p_down at state {s} must be positive")
-        pu = p_up[s] if s < n else 0.0
-        if pd + pu > 1.0 + 1e-12:
+    for s, (pd, pu) in enumerate(zip(p_down, [*p_up[1:], 0.0]), start=1):
+        if float(pd) + float(pu) > 1.0 + 1e-12:
             raise ParameterError(f"p_down + p_up exceeds 1 at state {s}")
-    if start == 0:
-        return 0.0
-    # re-index both lists by state number (index 0 unused)
-    down_at = [0.0] + p_down
-    up_at = [0.0] * (n + 1)
-    for s in range(1, n):
-        up_at[s] = p_up[s]
-    return _stable_double_sum(down_at, up_at, start, n)
+    return _double_sum(p_down, p_up, start)
 
 
 def _check_leadingones(n: int, p: float) -> None:

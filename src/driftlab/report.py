@@ -19,6 +19,7 @@ from .bounds import (
     UPPER_TAIL_PROB,
 )
 from .errors import ParameterError
+from .montecarlo import Z99
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -79,6 +80,33 @@ def verdict_for(
     if not checks:
         return INDETERMINATE
     return HOLDS if all(checks) else VIOLATED
+
+
+def comparison_row(
+    theorem_id: str,
+    direction: str,
+    bound: float,
+    oracle: Optional[float] = None,
+    sim: Optional[tuple] = None,
+    preconditions: str = "",
+) -> ComparisonRow:
+    """Build a row and its verdict; sim is a (mean, se) pair whose 99%
+    interval is mean +- Z99 se."""
+    sim_mean = sim_se = sim_lo = sim_hi = None
+    if sim is not None:
+        sim_mean, sim_se = sim
+        sim_lo, sim_hi = sim_mean - Z99 * sim_se, sim_mean + Z99 * sim_se
+    return ComparisonRow(
+        theorem_id=theorem_id,
+        direction=direction,
+        bound=bound,
+        oracle=oracle,
+        sim_mean=sim_mean,
+        sim_ci_lo=sim_lo,
+        sim_ci_hi=sim_hi,
+        preconditions=preconditions,
+        verdict=verdict_for(direction, bound, oracle, sim_mean, sim_se),
+    )
 
 
 def _fmt(value) -> str:

@@ -11,8 +11,11 @@ from driftlab.cli import (
     parse_potential,
     parse_process,
 )
+from driftlab.montecarlo import simulate_hitting
+from driftlab.processes import make_simple_chain
 from driftlab.report import (
     ComparisonRow,
+    comparison_row,
     emit_plot_data,
     emit_report,
     rows_from_json,
@@ -87,6 +90,18 @@ def test_verdict_logic_per_direction():
     assert verdict_for("upper_on_ET", 10.0, sim_mean=10.5, sim_se=0.2) == "holds"
     # exact tolerance: tiny relative excess is not a violation
     assert verdict_for("upper_on_ET", 10.0, oracle=10.0 * (1 + 1e-12)) == "holds"
+
+
+@pytest.mark.parametrize("cap", [10_000, 1])  # with and without finished trials
+def test_comparison_row_interval_equals_run_stats_ci99(cap):
+    stats = simulate_hitting(make_simple_chain("coupon", n=5), trials=200, seed=4, cap=cap)
+    row = comparison_row("additive.upper", "upper_on_ET", 20.0, sim=(stats.mean, stats.se))
+
+    def same(a, b):
+        return a == b or (math.isnan(a) and math.isnan(b))
+
+    assert same(row.sim_ci_lo, stats.ci99[0]) and same(row.sim_ci_hi, stats.ci99[1])
+    assert math.isnan(stats.mean) == (cap == 1)
 
 
 def test_plot_data_validation(tmp_path):
@@ -255,6 +270,74 @@ def test_bound_command_names_missing_parameter(argv, message, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"drift: error: {message}\n"
+
+
+def test_bound_command_names_non_numeric_parameter(capsys):
+    code = main(["bound", "mult.upper", "--params", "e_x0=abc", "delta=1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "mult.upper" in err and "'e_x0'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "fss.upper", "--params", "p_leave=0.5", "p_back=0.1", "x0=1"],
+        ["bound", "flm.upper", "--params", "p=0.5"],
+    ],
+)
+def test_bound_command_takes_a_number_as_a_one_element_list(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[0].endswith(" 2")
+
+
+def test_bound_command_prints_inf_when_the_double_sum_overflows(capsys):
+    p_leave = ":".join(["0.1"] * 700)
+    p_back = ":".join(["0.0"] + ["0.8"] * 699)
+    code = main(
+        ["bound", "fss.upper", "--params", f"p_leave={p_leave}", f"p_back={p_back}", "x0=1"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[0] == "fss.upper upper_on_ET inf"
+
+
+_RUIN_CONFIG = """\
+[process]
+spec = gamblers_ruin(n=30)
+
+[simulation]
+trials = {trials}
+seed = 9
+cap = {cap}
+
+[theorems]
+{theorem}
+"""
+
+
+@pytest.mark.parametrize(
+    "trials, cap, theorem",
+    [
+        # every trial censored: no mean to compare against
+        (50, 5, "additive.upper = e_x0=900, delta=1"),
+        # 292 of 2000 censored: the finished trials understate E[T]
+        (2000, 1500, "additive.lower = e_x0=900, delta=1, c=59"),
+    ],
+    ids=["all_censored", "lower_bound_some_censored"],
+)
+def test_run_censored_simulation_does_not_judge_the_bound(
+    trials, cap, theorem, tmp_path, capsys
+):
+    cfg = _RUIN_CONFIG.format(trials=trials, cap=cap, theorem=theorem)
+    code = main(["run", _write_config(tmp_path, cfg)])
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert code == 0
+    assert row[2] == row[3] == "900"  # bound and oracle
+    assert row[4:7] == ["", "", ""]  # no simulation in the row
+    assert row[-1] == "holds"
 
 
 def test_run_names_missing_theorem_parameter(tmp_path, capsys):

@@ -112,6 +112,15 @@ def test_birth_death_validates_inputs():
         birth_death_exact([0.5], [0.0], 2)
 
 
+def test_birth_death_overflow_returns_inf():
+    assert birth_death_exact([0.1] * 700, [0.0] + [0.8] * 699, 1) == math.inf
+
+
+def test_birth_death_product_underflowing_to_zero_stays_finite():
+    # the up/down product 4e-400 underflows to 0 before the log-space switch
+    assert birth_death_exact([0.5] * 3, [0.0, 1e-200, 1e-200], 1) == 2.0
+
+
 @pytest.mark.parametrize("n", [30, 100, 300])
 def test_leadingones_tracks_quadratic_growth(n):
     exact = leadingones_exact(n, 1.0 / n)
