@@ -2,19 +2,25 @@
 
 Trials are keyed by (seed, trial index) through SeedSequence spawn
 keys, so results are deterministic and independent of trial execution
-order.  Every process, kernel-backed or not, is simulated by the same
-loop over its Process interface (sample_initial, is_target, step), so
-a seed gives the same trials on every machine.
+order.  The reference for every simulation is the loop over a trial's
+Process interface (sample_initial, is_target, step).  A process whose
+step_law says how step draws (kernel chains, the (1+1) EA on
+LeadingOnes) is instead stepped by the lockstep walker: all live trials
+of a chunk advance together in numpy, each reading its own stream in
+blocks, since rng.random(a) followed by rng.random(b) gives the numbers
+of rng.random(a + b).  Its hitting times and value curves equal the
+loop's trial by trial.
 """
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import ParameterError
-from .processes import Process
+from .processes import KernelDraw, Process
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -74,10 +80,295 @@ def sample_hitting_times(
     """Per-trial hitting times; censored trials are recorded as -1."""
     if trials < 1 or cap < 1:
         raise ParameterError("trials and cap must be at least 1")
+    if _steps_in_lockstep(process, trials):
+        return _lockstep(process, trials, seed, cap)
     times = np.empty(trials, dtype=np.int64)
     for trial in range(trials):
         times[trial] = _hit_time(process, trial_rng(seed, trial), cap)
     return times
+
+
+# ---------------------------------------------------------------------------
+# Lockstep walker
+# ---------------------------------------------------------------------------
+
+_FEW_TRIALS = 8  # a chain simulated with no more trials than this takes the loop
+_CHUNK = 4096  # trials started together
+_BLOCK_UNIFORMS = 1 << 19  # uniforms (and recorded values) held per block
+_FIRST_BLOCK = 16  # steps in a chunk's first block; each next block doubles
+_MIN_BLOCK = 64  # steps a full chunk's block can hold at least
+
+
+class _KernelTable:
+    """Padded successor and cumulative-probability rows of a KernelDraw
+    chain, compiled on first visit and shared by every simulation of it.
+
+    Row 0 is a sentinel that steps to itself.  A row's cumulative sums
+    are accumulated in row order as _categorical does, and padded with
+    inf and the row's last successor, which _categorical returns when u
+    is at or above every sum.
+    """
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.index = {}
+        self.states = [None]
+        self.ready = [True]
+        self.succ = np.zeros((8, 1), dtype=np.int64)
+        self.cum = np.full((8, 1), np.inf)
+
+    def row(self, state) -> int:
+        i = self.index.get(state)
+        if i is None:
+            i = self.index[state] = len(self.states)
+            self.states.append(state)
+            self.ready.append(False)
+            if i == len(self.succ):
+                self.succ = np.concatenate([self.succ, np.zeros_like(self.succ)])
+                self.cum = np.concatenate([self.cum, np.full_like(self.cum, np.inf)])
+        return i
+
+    def compile(self, i: int) -> None:
+        pairs = self.kernel(self.states[i])
+        succ = [self.row(s) for s, _ in pairs]
+        cum = []
+        acc = 0.0
+        for _, p in pairs:
+            acc += p
+            cum.append(acc)
+        width = len(succ) + 1
+        if width > self.succ.shape[1]:
+            grow = width - self.succ.shape[1]
+            self.succ = np.hstack([self.succ, np.repeat(self.succ[:, -1:], grow, axis=1)])
+            self.cum = np.hstack([self.cum, np.full((len(self.cum), grow), np.inf)])
+        self.succ[i, :len(succ)] = succ
+        self.succ[i, len(succ):] = succ[-1]
+        self.cum[i, :len(cum)] = cum
+        self.ready[i] = True
+
+
+# compiled rows depend on the kernel alone, so lifted copies of a process
+# share its table; an entry goes when its KernelDraw does
+_TABLES = weakref.WeakKeyDictionary()
+
+
+class _KernelWalk:
+    """Trials of a KernelDraw chain as rows of its table."""
+
+    def __init__(self, process: Process, record: bool):
+        law = process.step_law
+        self.table = _TABLES.get(law)
+        if self.table is None:
+            self.table = _TABLES[law] = _KernelTable(law.kernel)
+        self.process = process
+        self.record = record
+        self.width = 1
+        # per simulation: 0 steps on, 1 not yet visited, 2 target
+        self.flag = np.zeros(1, dtype=np.int8)
+        self.val = np.full(1, np.nan)
+
+    def _fit(self) -> None:
+        grow = len(self.table.succ) - len(self.flag)
+        if grow > 0:
+            self.flag = np.concatenate([self.flag, np.ones(grow, dtype=np.int8)])
+            self.val = np.concatenate([self.val, np.full(grow, np.nan)])
+
+    def _visit(self, rows) -> None:
+        table = self.table
+        for i in np.unique(rows).tolist():
+            state = table.states[i]
+            if self.process.is_target(state):
+                self.flag[i] = 2
+            else:
+                if not table.ready[i]:
+                    table.compile(i)
+                    self._fit()
+                self.flag[i] = 0
+            if self.record:
+                self.val[i] = self.process.value(state)
+
+    def _arrive(self):
+        f = self.flag[self.idx]
+        if not np.count_nonzero(f):
+            return None
+        new = self.idx[f == 1]
+        if new.size:
+            self._visit(new)
+            f = self.flag[self.idx]
+        return f == 2
+
+    def start(self, states):
+        self.idx = np.array([self.table.row(s) for s in states], dtype=np.int64)
+        self._fit()
+        return self._arrive()
+
+    def draw(self, rngs, steps: int) -> np.ndarray:
+        u = np.empty((len(rngs), steps))
+        for row, rng in zip(u, rngs):
+            rng.random(out=row)
+        return u.T[:, :, None]
+
+    def step(self, u):
+        table = self.table
+        j = (u < table.cum[self.idx]).argmax(axis=1)
+        self.idx = table.succ[self.idx, j]
+        return self._arrive()
+
+    def stop(self, hit) -> None:
+        self.idx[hit] = 0
+
+    def keep(self, live) -> None:
+        self.idx = self.idx[live]
+
+    def values(self):
+        return self.val[self.idx]
+
+
+class _LeadingOnesWalk:
+    """Trials of the (1+1) EA on LeadingOnes as rows of a bit matrix,
+    with a 0 column after the last bit so that argmin finds LO = n."""
+
+    def __init__(self, process: Process):
+        law = process.step_law
+        self.n, self.p = law.n, law.p
+        self.width = law.n
+        self.value = None if process.value is law.distance else process.value
+        self.distance = np.arange(law.n, -1, -1, dtype=float)
+
+    def start(self, states):
+        self.bits = np.zeros((len(states), self.n + 1), dtype=bool)
+        self.bits[:, :self.n] = states
+        self.lo = self.bits.argmin(axis=1)
+        self.live = np.ones(len(states), dtype=bool)
+        self.stopped = 0
+        return self._arrive()
+
+    def _arrive(self):
+        done = self.lo == self.n
+        if np.count_nonzero(done) == self.stopped:
+            return None
+        return done & self.live
+
+    def draw(self, rngs, steps: int) -> np.ndarray:
+        flips = np.empty((len(rngs), steps, self.n), dtype=bool)
+        for row, rng in zip(flips, rngs):
+            np.less(rng.random(steps * self.n).reshape(steps, self.n), self.p, out=row)
+        return flips.transpose(1, 0, 2)
+
+    def step(self, flips):
+        # the offspring keeps LO >= lo exactly when no bit below lo flips;
+        # argmax is 0 when nothing flips, and then either choice is bits
+        self.bits[:, :self.n] ^= flips & (flips.argmax(axis=1) >= self.lo)[:, None]
+        self.lo = self.bits.argmin(axis=1)
+        return self._arrive()
+
+    def stop(self, hit) -> None:
+        self.live &= ~hit
+        self.stopped += int(np.count_nonzero(hit))
+
+    def keep(self, live) -> None:
+        self.bits, self.lo, self.live = self.bits[live], self.lo[live], self.live[live]
+        self.stopped = 0
+
+    def values(self):
+        if self.value is None:
+            return self.distance[self.lo]
+        # the states step passes are tuples of 0/1 ints
+        bits = self.bits[:, :self.n].view(np.uint8).tolist()
+        return np.array([self.value(tuple(b)) for b in bits])
+
+
+def _steps_in_lockstep(process: Process, trials: int) -> bool:
+    """Whether the lockstep walker simulates these trials.  A lockstep
+    step costs about 8 µs of numpy calls however few trials are live,
+    and a chain's own step about 2 µs a trial, so chains with a few
+    trials stay on the loop; an EA step on a bit string costs the loop
+    more than the whole lockstep step."""
+    law = process.step_law
+    if isinstance(law, KernelDraw):
+        return trials > _FEW_TRIALS
+    return law is not None
+
+
+def _chunk_trials(width: int) -> int:
+    """Trials per chunk when each step draws width uniforms."""
+    return max(1, min(_CHUNK, _BLOCK_UNIFORMS // (width * _MIN_BLOCK)))
+
+
+def _lockstep(process: Process, trials: int, seed: int, steps: int, sums=None) -> np.ndarray:
+    """Hitting times within steps steps (-1 if none), stepping every
+    live trial of a chunk together.  With sums = (acc, acc2), the value
+    curves of t = 0..steps are added to them trial after trial, as the
+    loop over sample_trajectory adds them.
+
+    A walker holds one slot per live trial: start(states) and
+    step(draws) return the mask of slots that reached the target (None
+    when none did), draw(rngs, steps) takes each slot's next draws from
+    its stream, stop(mask) drops slots from the target check, keep(mask)
+    compacts the slots, and values() gives each slot's process value."""
+    record = sums is not None
+    if isinstance(process.step_law, KernelDraw):
+        walk = _KernelWalk(process, record)
+    else:
+        walk = _LeadingOnesWalk(process)
+    times = np.full(trials, -1, dtype=np.int64)
+    chunk = _chunk_trials(walk.width)
+    for first in range(0, trials, chunk):
+        rngs = [trial_rng(seed, i) for i in range(first, min(first + chunk, trials))]
+        size = len(rngs)
+        hit = walk.start([process.sample_initial(rng) for rng in rngs])
+        # pos maps a slot to its trial in the chunk; a stopped slot points
+        # at the spare entry size, where nothing it writes is read
+        pos = np.arange(size)
+        cur = np.empty(size + 1)
+        if record:
+            cur[pos] = walk.values()
+        if hit is not None:
+            times[first + pos[hit]] = 0
+            pos[hit] = size
+            walk.stop(hit)
+        if record:
+            _add_in_order(sums, 0, cur[None, :size])
+        live = int(np.count_nonzero(pos < size))
+        t, block = 0, _FIRST_BLOCK
+        while t < steps and (live or record):
+            if live < len(pos):
+                kept = pos < size
+                pos = pos[kept]
+                rngs = [rng for rng, k in zip(rngs, kept) if k]
+                walk.keep(kept)
+            span = _BLOCK_UNIFORMS // max(live * walk.width, size if record else 1)
+            span = min(block, steps - t, max(1, span))
+            block *= 2
+            u = walk.draw(rngs, span) if live else None
+            rec = np.empty((span, size)) if record else None
+            for k in range(span):
+                if not live:
+                    if record:
+                        rec[k:] = cur[:size]
+                    break
+                hit = walk.step(u[k])
+                if record:
+                    cur[pos] = walk.values()
+                    rec[k] = cur[:size]
+                if hit is not None:
+                    times[first + pos[hit]] = t + k + 1
+                    pos[hit] = size
+                    walk.stop(hit)
+                    live -= int(np.count_nonzero(hit))
+            if record:
+                _add_in_order(sums, t + 1, rec)
+            t += span
+    return times
+
+
+def _add_in_order(sums, t0: int, rec: np.ndarray) -> None:
+    """Add each trial's values (the columns of rec, times t0 onward) to
+    acc and their squares to acc2, one trial after the other."""
+    acc, acc2 = sums
+    seg = slice(t0, t0 + len(rec))
+    for total, vals in ((acc, rec.T), (acc2, rec.T * rec.T)):
+        total[seg] = np.add.accumulate(np.vstack([total[None, seg], vals]), axis=0)[-1]
 
 
 def _stats_from_times(times: np.ndarray, cap: int) -> RunStats:
@@ -152,10 +443,13 @@ def simulate_trajectory(
         raise ParameterError("horizon must be >= 0 and trials >= 1")
     acc = np.zeros(horizon + 1)
     acc2 = np.zeros(horizon + 1)
-    for trial in range(trials):
-        vals = sample_trajectory(process, horizon, seed, trial)
-        acc += vals
-        acc2 += vals * vals
+    if _steps_in_lockstep(process, trials):
+        _lockstep(process, trials, seed, horizon, (acc, acc2))
+    else:
+        for trial in range(trials):
+            vals = sample_trajectory(process, horizon, seed, trial)
+            acc += vals
+            acc2 += vals * vals
     mean = acc / trials
     var = np.maximum(acc2 / trials - mean * mean, 0.0)
     if trials > 1:
@@ -384,7 +678,11 @@ def verify_condition(
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    The ends are exactly 0 with no success and exactly 1 with no
+    failure; computed, they can miss the observed frequency by rounding.
+    """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     phat = successes / trials
@@ -392,7 +690,9 @@ def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple:
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return (lo, hi)
 
 
 def tail_frequency(process: Process, time_threshold: int, trials: int, seed: int):

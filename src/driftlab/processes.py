@@ -10,7 +10,7 @@ oracle module can solve for expected hitting times without sampling.
 from collections import deque
 from dataclasses import dataclass, field
 from math import comb
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
@@ -20,6 +20,28 @@ State = Any
 Kernel = Callable[[State], list[tuple[State, float]]]
 
 _KERNEL_TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class KernelDraw:
+    """step(state, rng) is one _categorical draw over kernel(state):
+    one rng.random() per step, compared with the running sum of the row
+    in row order."""
+
+    kernel: Kernel
+
+
+@dataclass(frozen=True)
+class LeadingOnesEA:
+    """step is the (1+1) EA on LeadingOnes over tuples of n 0/1 ints:
+    one rng.random(n) per step, bit i flips where its uniform is below
+    p, and the offspring is kept when its LeadingOnes value is not
+    lower.  The target is the all-ones string; distance is the value
+    view make_ea_process built (n - LeadingOnes)."""
+
+    n: int
+    p: float
+    distance: Callable[[State], float]
 
 
 @dataclass(frozen=True)
@@ -42,6 +64,11 @@ class Process:
         Exact one-step distribution; present when tractable.
     initial_support : tuple of (state, prob), optional
         Explicit initial distribution, needed for exact solving.
+    step_law : KernelDraw or LeadingOnesEA, optional
+        How step uses its randomness, so that montecarlo can step many
+        trials at once with the same draws; None means only step itself
+        says, and simulation calls it trial by trial.  lift keeps it; a
+        process given another step must drop it.
     """
 
     name: str
@@ -51,6 +78,7 @@ class Process:
     is_target: Callable[[State], bool]
     exact_kernel: Optional[Kernel] = None
     initial_support: Optional[tuple[tuple[State, float], ...]] = None
+    step_law: Union[KernelDraw, LeadingOnesEA, None] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +210,7 @@ def _chain_process(name, kernel_map, start_pairs, value, is_target) -> Process:
         is_target=is_target,
         exact_kernel=kernel_map,
         initial_support=tuple(start_pairs),
+        step_law=KernelDraw(kernel_map),
     )
 
 
@@ -500,6 +529,7 @@ def make_ea_process(
             return float(sum(w for w, b in zip(weights, bits) if not b))
 
     optimum = (1,) * n
+    law = None
 
     def is_target(bits):
         return bits == optimum
@@ -528,6 +558,9 @@ def make_ea_process(
             cand = tuple(int(b) ^ int(m) for b, m in zip(bits, mask))
             return cand if fitness_bits(cand) >= fitness_bits(bits) else bits
 
+        if objective == "leadingones":
+            law = LeadingOnesEA(n, p, value)
+
     def sample_initial(rng):
         return tuple(int(b) for b in rng.integers(0, 2, size=n))
 
@@ -547,6 +580,7 @@ def make_ea_process(
         is_target=is_target,
         exact_kernel=kernel,
         initial_support=support,
+        step_law=law,
     )
 
 

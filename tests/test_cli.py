@@ -340,6 +340,17 @@ def test_run_censored_simulation_does_not_judge_the_bound(
     assert row[-1] == "holds"
 
 
+def test_run_does_not_judge_a_tail_bound_by_the_expected_time(tmp_path, capsys):
+    # the oracle and the simulated mean are E[T], not Pr[T > s]
+    cfg = GOOD_CONFIG.replace("mult.upper = e_x0=20, delta=0.05", "mult.tail = s=20, delta=0.05, k=1")
+    code = main(["run", _write_config(tmp_path, cfg)])
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert code == 0
+    assert row[:2] == ["mult.tail", "upper_tail_prob"]
+    assert row[3:7] == ["", "", "", ""]  # neither oracle nor simulation
+    assert row[-1] == "indeterminate"
+
+
 def test_run_names_missing_theorem_parameter(tmp_path, capsys):
     cfg = GOOD_CONFIG.replace("e_x0=20, delta=0.05", "e_x0=20")
     code = main(["run", _write_config(tmp_path, cfg)])

@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from driftlab import errors
 from driftlab.montecarlo import (
+    _FEW_TRIALS,
+    _FIRST_BLOCK,
+    _chunk_trials,
     default_cap,
     estimate_drift,
     sample_hitting_times,
@@ -28,12 +31,16 @@ from driftlab.potentials import (
     lift,
 )
 from driftlab.processes import (
+    KernelDraw,
+    LeadingOnesEA,
     _chain_process,
     make_ea_process,
+    make_graph_process,
     make_simple_chain,
     make_sorting_process,
     make_two_sat_process,
     planted_2sat,
+    random_3colorable_graph,
     to_finite_chain,
 )
 
@@ -88,8 +95,13 @@ def test_default_cap_policy():
 def test_wilson_interval_brackets_the_point_estimate():
     lo, hi = wilson_interval(30, 100)
     assert 0.0 <= lo < 0.3 < hi <= 1.0
-    assert wilson_interval(0, 10)[0] == 0.0
-    assert wilson_interval(10, 10)[1] == 1.0
+    for trials in range(1, 5000):
+        # computed, these ends miss 0 and 1 by rounding at many counts
+        assert wilson_interval(0, trials)[0] == 0.0
+        assert wilson_interval(trials, trials)[1] == 1.0
+        for successes in (0, 1, trials // 2, trials - 1, trials):
+            lo, hi = wilson_interval(successes, trials)
+            assert 0.0 <= lo <= successes / trials <= hi <= 1.0
     with pytest.raises(errors.ParameterError):
         wilson_interval(0, 0)
 
@@ -277,13 +289,98 @@ _CATALOG = {
     "RLS-leadingones": lambda: make_ea_process("RLS", "leadingones", n=6),
     "sorting": lambda: make_sorting_process(4, (4, 3, 2, 1)),
     "two_sat": lambda: make_two_sat_process(planted_2sat(6, 8, seed=4)),
+    # rows summing to 0.6: _categorical takes the last entry for u >= 0.6
+    "short-rows": lambda: _chain_process(
+        "short-rows", lambda s: [(s - 1, 0.3), (s + 1, 0.3)], [(3, 1.0)],
+        value=float, is_target=lambda s: s in (0, 6),
+    ),
+    "lifted-coupon": lambda: lift(
+        make_simple_chain("coupon", n=10),
+        Potential(eval=lambda d: d / 3.0 + 0.1, description="third"),
+    ),
+    "lifted-EA-leadingones": lambda: lift(
+        make_ea_process("OnePlusOneEA", "leadingones", n=8, mutation_rate=0.1),
+        Potential(eval=lambda bits: bits.count(0) / 3.0, description="zeros/3"),
+    ),
+}
+
+# (catalog name, trials, cap, horizon) at the lockstep walker's seams: one
+# trial past a chunk, a cap and a horizon that cut a block of draws short,
+# and trajectories whose trials absorb at many different times
+_SEAMS = {
+    "chunk+3": ("coupon", _chunk_trials(1) + 3, 10_000, 25),
+    "EA-chunk+3": ("EA-leadingones", _chunk_trials(8) + 3, 10_000, 25),
+    "cut-block": ("gamblers_ruin", 60, _FIRST_BLOCK + 5, 3 * _FIRST_BLOCK + 5),
+    "EA-cut-block": ("EA-leadingones", 60, _FIRST_BLOCK + 5, 3 * _FIRST_BLOCK + 5),
+    "absorbing": ("coupon", 60, 10_000, 80),
+    "EA-absorbing": ("EA-leadingones", 60, 10_000, 300),
 }
 
 
-@pytest.mark.parametrize("cap", [10_000, 5])
-@pytest.mark.parametrize("name", sorted(_CATALOG))
-def test_simulation_matches_reference_loop_trial_by_trial(name, cap):
-    _assert_matches_reference(_CATALOG[name](), trials=60, seed=17, cap=cap, horizon=25)
+@pytest.mark.parametrize(
+    "name, trials, cap, horizon",
+    [pytest.param(name, 60, cap, 25, id=f"{name}-{cap}")
+     for cap in (10_000, 5) for name in sorted(_CATALOG)]
+    + [pytest.param(*case, id=seam) for seam, case in _SEAMS.items()],
+)
+def test_simulation_matches_reference_loop_trial_by_trial(name, trials, cap, horizon):
+    _assert_matches_reference(_CATALOG[name](), trials, seed=17, cap=cap, horizon=horizon)
+
+
+@pytest.mark.parametrize("name, trials", [("lifted-coupon", _chunk_trials(1) + 3),
+                                          ("lifted-EA-leadingones", _chunk_trials(8) + 3)])
+def test_trajectory_adds_trials_in_trial_order(name, trials):
+    # without a step law, simulate_trajectory adds the sample_trajectory
+    # curves one trial after the other; the lockstep walker must give the
+    # same floats (these values are not exact binary fractions, so another
+    # order of addition rounds differently)
+    process, horizon, seed = _CATALOG[name](), 40, 23
+    loop = dataclasses.replace(process, step_law=None)
+    got = simulate_trajectory(process, horizon, trials, seed)
+    want = simulate_trajectory(loop, horizon, trials, seed)
+    for field in ("mean", "ci_lo", "ci_hi"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def test_lockstep_walker_takes_the_processes_its_step_law_describes():
+    graph = random_3colorable_graph(9, 0.5, seed=1)
+    lockstep = {
+        KernelDraw: ["coupon", "gamblers_ruin", "rumor", "EA-onemax", "RLS-plateau",
+                     "lifted-coupon"],
+        LeadingOnesEA: ["EA-leadingones", "lifted-EA-leadingones"],
+    }
+    loop = {
+        "recolour": make_graph_process("recolour", graph),
+        "two_sat": _CATALOG["two_sat"](),
+        "RLS-leadingones": _CATALOG["RLS-leadingones"](),
+        "sorting": _CATALOG["sorting"](),
+    }
+    for law, names in lockstep.items():
+        for name in names:
+            process = _CATALOG[name]()
+            assert type(process.step_law) is law, name
+            assert _reference_steps(process, _FEW_TRIALS + 1) == 0, name
+    for name, process in loop.items():
+        assert process.step_law is None, name
+        assert _reference_steps(process, _FEW_TRIALS + 1) > 0, name
+    # a chain's own step is cheaper than a lockstep step of a few trials;
+    # the EA's step on a bit string is not
+    assert _reference_steps(_CATALOG["coupon"](), _FEW_TRIALS) > 0
+    assert _reference_steps(_CATALOG["EA-leadingones"](), 1) == 0
+
+
+def _reference_steps(process, trials):
+    """Calls of Process.step while simulating hitting times and a mean curve."""
+    calls = []
+
+    def step(state, rng):
+        calls.append(1)
+        return process.step(state, rng)
+
+    counted = dataclasses.replace(process, step=step)
+    sample_hitting_times(counted, trials=trials, seed=3, cap=50)
+    simulate_trajectory(counted, horizon=20, trials=trials, seed=3)
+    return len(calls)
 
 
 @st.composite

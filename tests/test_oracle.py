@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftlab import errors
 from driftlab.oracle import (
@@ -17,6 +18,7 @@ from driftlab.oracle import (
 )
 from driftlab.processes import (
     FiniteChain,
+    _chain_process,
     make_simple_chain,
     to_finite_chain,
 )
@@ -101,6 +103,36 @@ def test_birth_death_closed_form_matches_linear_solve(trial):
     solve = hitting_time_exact(chain).from_start
     closed = birth_death_exact(list(p_down), list(p_up), start)
     assert closed == pytest.approx(solve, rel=1e-9)
+
+
+@st.composite
+def _birth_death_chains(draw):
+    """(p_down, p_up, start) of a birth-death chain on [0..n], n <= 11."""
+    n = draw(st.integers(min_value=1, max_value=11))
+    p_down = [draw(st.floats(min_value=0.2, max_value=1.0)) for _ in range(n)]
+    p_up = [0.0] + [
+        draw(st.floats(min_value=0.0, max_value=min(0.5, 1.0 - pd))) for pd in p_down[:-1]
+    ]
+    return p_down, p_up, draw(st.integers(min_value=0, max_value=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_birth_death_chains())
+def test_birth_death_oracle_equals_the_enumerated_chain_solve(chain):
+    p_down, p_up, start = chain
+    n = len(p_down)
+
+    def kernel(s):
+        if s == 0:
+            return [(0, 1.0)]
+        pd, pu = p_down[s - 1], p_up[s] if s < n else 0.0
+        return [(s - 1, pd), (s + 1, pu), (s, 1.0 - pd - pu)]
+
+    process = _chain_process(
+        "birth-death", kernel, [(start, 1.0)], value=float, is_target=lambda s: s == 0
+    )
+    solve = hitting_time_exact(to_finite_chain(process)).from_start
+    assert birth_death_exact(p_down, p_up, start) == pytest.approx(solve, rel=1e-9, abs=0)
 
 
 def test_birth_death_validates_inputs():
