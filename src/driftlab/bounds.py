@@ -59,7 +59,6 @@ class DriftFunction:
     """A positive drift bound h with optional exact derivative."""
 
     eval: Callable[[float], float]
-    declared_monotone: bool = True
     derivative: Optional[Callable[[float], float]] = None
 
     def __call__(self, x: float) -> float:
@@ -417,67 +416,6 @@ def negative_drift_escape(n: float, eps: float, c: float, s: float) -> BoundRepo
     )
 
 
-def negative_drift_condition_check(
-    process,
-    potential,
-    interval: tuple,
-    eps: float,
-    delta: float,
-    r_of_ell: float,
-    variant: str = "standard",
-    samples: int = 2000,
-    seed: int = 0,
-    j_max: int = 12,
-):
-    """Empirical check of the negative-drift conditions; emits no bound.
-
-    Verifies drift at least delta inside (a, b) and geometric step
-    tails with ratio 1/(1+eps) scaled by r(l), on states sampled from
-    trajectories.  Reports the exponent scale l/r(l) (standard) or
-    l^(1/4) (the wide-tail variant); the conclusion's constant is
-    unspecified, so only the report is returned.
-    """
-    from .montecarlo import ConditionReport, _sample_states, _one_step_samples
-
-    a, b = interval
-    ell = b - a
-    if ell <= 0:
-        raise ParameterError("interval must have positive width")
-    rng = np.random.default_rng(seed)
-    states = _sample_states(
-        process, rng, limit=50,
-        keep=lambda s: a < potential.eval(s) < b,
-    )
-    per_state = []
-    all_pass = True
-    for state in states:
-        vals = _one_step_samples(process, potential, state, samples, rng)
-        base = potential.eval(state)
-        diffs = vals - base
-        drift_away = float(np.mean(diffs))
-        se = float(np.std(diffs, ddof=1) / np.sqrt(len(diffs))) if len(diffs) > 1 else 0.0
-        drift_ok = drift_away + 2.576 * se >= delta
-        tail_ok = True
-        for j in range(1, j_max + 1):
-            freq = float(np.mean(np.abs(diffs) >= j))
-            limit = r_of_ell / (1.0 + eps) ** j
-            phat_se = np.sqrt(max(freq * (1 - freq), 1e-12) / len(diffs))
-            if freq - 2.576 * phat_se > limit:
-                tail_ok = False
-                break
-        ok = drift_ok and tail_ok
-        all_pass = all_pass and ok
-        per_state.append((state, drift_away, (drift_away - 2.576 * se, drift_away + 2.576 * se), ok))
-    scale = ell / r_of_ell if variant == "standard" else ell**0.25
-    overall = "indeterminate" if all_pass else "fail"
-    return ConditionReport(
-        condition_id="negative_drift_DC",
-        per_state=tuple(per_state),
-        overall=overall,
-        extras={"exponent_scale": scale, "variant": variant, "ell": ell},
-    )
-
-
 # ---------------------------------------------------------------------------
 # Finite state spaces
 # ---------------------------------------------------------------------------
@@ -713,10 +651,6 @@ class LevelBasedParams:
         if abs(gl - round(gl)) > 1e-9:
             raise ParameterError("gamma0 * lambda must be an integer")
 
-    @property
-    def d0(self) -> float:
-        return min(ceil(100.0 / self.delta), self.gamma0 * self.lam)
-
 
 def _log2_0(x: float) -> float:
     return max(0.0, log2(x)) if x > 0 else 0.0
@@ -871,11 +805,11 @@ def fixed_budget_additive(
 
 
 def _h_tilde_checks(h: DriftFunction, lo: float, hi: float):
+    """Greed-admitting (x - h(x) non-decreasing) and convexity flags of h
+    on a 1000-point grid of [lo, hi], with 1e-9 slack."""
     xs = np.linspace(lo, hi, 1000)
     hv = np.array([h.eval(float(x)) for x in xs])
-    ht = xs - hv
-    greed = bool(np.all(np.diff(ht) >= -1e-9))
-    # discrete convexity of h on the grid
+    greed = bool(np.all(np.diff(xs - hv) >= -1e-9))
     convex = bool(np.all(np.diff(hv, 2) >= -1e-9))
     return (
         PreconditionFlag("greed_admitting", PASS if greed else FAIL),

@@ -59,8 +59,12 @@ def parse_process(spec: str):
     or OnePlusOneEA-leadingones(n=10,p=0.1).
     """
     name, params = _parse_call(spec)
+    _check_numeric(name, params)
     if "-" in name:
         algorithm, objective = name.split("-", 1)
+        extra = sorted(set(params) - {"n", "k", "p"})
+        if extra:
+            raise ConfigError(f"{name} takes no parameter {extra[0]!r}")
         return processes.make_ea_process(
             algorithm,
             objective,
@@ -113,6 +117,17 @@ def _floats(value):
     return [float(v) for v in (value if isinstance(value, list) else [value])]
 
 
+class _NotWhole(Exception):
+    """A calculator parameter that must be a whole number is not."""
+
+
+def _int(p, key: str) -> int:
+    value = p[key]
+    if isinstance(value, int) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise _NotWhole(key, value)
+
+
 def _level_profile(p, visits=False) -> bounds.LevelProfile:
     probs = tuple(_floats(p["p"]))
     v = tuple(_floats(p["v"])) if visits else None
@@ -124,11 +139,11 @@ def _calc_headwind(p, x0=None, closed=False):
         p_minus=tuple(_floats(p["p_minus"])),
         p_plus=tuple(_floats(p["p_plus"])),
         delta=tuple(_floats(p["delta"])),
-        kappa=int(p["kappa"]),
+        kappa=_int(p, "kappa"),
     )
     if closed:
         return bounds.headwind_closed(params)
-    return bounds.headwind_upper(params, int(p["x0"]))
+    return bounds.headwind_upper(params, _int(p, "x0"))
 
 
 _CALCULATORS = {
@@ -166,22 +181,22 @@ _CALCULATORS = {
         p["n"], p["eps"], p["c"], p["s"]
     ),
     "fss.upper": lambda p: bounds.finite_state_upper(
-        _floats(p["p_leave"]), _floats(p["p_back"]), int(p["x0"])
+        _floats(p["p_leave"]), _floats(p["p_back"]), _int(p, "x0")
     ),
     "fss.lower": lambda p: bounds.finite_state_lower(
-        _floats(p["p_fwd"]), _floats(p["p_back_lb"]), int(p["x0"])
+        _floats(p["p_fwd"]), _floats(p["p_back_lb"]), _int(p, "x0")
     ),
     "headwind": lambda p: _calc_headwind(p),
     "headwind.closed": lambda p: _calc_headwind(p, closed=True),
     "updrift": lambda p: bounds.updrift_upper(
         bounds.UpDriftParams(
-            n=int(p["n"]), k=int(p["k"]), e0=p["e0"],
+            n=_int(p, "n"), k=_int(p, "k"), e0=p["e0"],
             gamma0=p["gamma0"], delta=p["delta"],
         )
     ),
     "levelbased": lambda p: bounds.level_based(
         bounds.LevelBasedParams(
-            m=int(p["m"]), lam=int(p["lam"]), delta=p["delta"],
+            m=_int(p, "m"), lam=_int(p, "lam"), delta=p["delta"],
             gamma0=p["gamma0"], z=tuple(_floats(p["z"])),
         )
     ),
@@ -189,10 +204,10 @@ _CALCULATORS = {
     "flm.visit.lower": lambda p: bounds.flm_visit_lower(_level_profile(p, visits=True)),
     "flm.visit.upper": lambda p: bounds.flm_visit_upper(_level_profile(p, visits=True)),
     "budget.add": lambda p: bounds.fixed_budget_additive(
-        p["x0"], p["delta"], int(p["t"]), p.get("pr_t_le_t")
+        p["x0"], p["delta"], _int(p, "t"), p.get("pr_t_le_t")
     ),
     "budget.var": lambda p: bounds.fixed_budget_variable(
-        _drift_fn(p["h"]), p["x0"], int(p["t"]), p.get("variant", "unlimited")
+        _drift_fn(p["h"]), p["x0"], _int(p, "t"), p.get("variant", "unlimited")
     ),
     "budget.threshold": lambda p: bounds.iterated_budget_threshold(
         _drift_fn(p["h"]), p["x"], p["y"], p.get("domain", "continuous")
@@ -209,18 +224,25 @@ def _numeric(value) -> bool:
     return all(isinstance(v, (int, float)) for v in items)
 
 
-def _calculate(theorem_id: str, params: dict) -> bounds.BoundReport:
-    """Run one calculator; a missing or non-numeric parameter is a
-    ConfigError naming it."""
+def _check_numeric(what: str, params: dict, words=frozenset()) -> None:
     for key, value in params.items():
-        if key not in _WORD_KEYS and not _numeric(value):
-            raise ConfigError(
-                f"{theorem_id} parameter {key!r} must be numeric, got {value!r}"
-            )
+        if key not in words and not _numeric(value):
+            raise ConfigError(f"{what} parameter {key!r} must be numeric, got {value!r}")
+
+
+def _calculate(theorem_id: str, params: dict) -> bounds.BoundReport:
+    """Run one calculator; a missing, non-numeric or, where a count is
+    needed, non-integral parameter is a ConfigError naming it."""
+    _check_numeric(theorem_id, params, _WORD_KEYS)
     try:
         return _CALCULATORS[theorem_id](params)
     except KeyError as exc:
         raise ConfigError(f"{theorem_id} needs parameter {exc.args[0]!r}") from exc
+    except _NotWhole as exc:
+        key, value = exc.args
+        raise ConfigError(
+            f"{theorem_id} parameter {key!r} must be a whole number, got {value!r}"
+        ) from exc
 
 
 def _flags_text(report: bounds.BoundReport) -> str:

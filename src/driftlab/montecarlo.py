@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .bounds import _h_tilde_checks
 from .errors import ParameterError
 from .processes import KernelDraw, Process
 
@@ -465,11 +466,22 @@ def simulate_trajectory(
 # Drift estimation and condition verification
 # ---------------------------------------------------------------------------
 
-def _one_step_samples(process, potential, state, samples, rng) -> np.ndarray:
-    out = np.empty(samples)
-    for i in range(samples):
-        out[i] = potential.eval(process.step(state, rng))
-    return out
+def _one_step_drops(process: Process, potential, state, base: float, samples: int, rng):
+    """(drops, probs, mean, ci) of the potential over one step from a
+    state where it is base: with an exact kernel, each successor's drop,
+    its probability, the exact mean and a zero-width CI; otherwise
+    `samples` drawn drops, None, the sample mean and its 99% CI."""
+    if process.exact_kernel is not None:
+        row = process.exact_kernel(state)
+        drops = np.array([base - potential.eval(succ) for succ, _ in row])
+        probs = np.array([p for _, p in row])
+        mean = float(np.dot(probs, drops))
+        return drops, probs, mean, (mean, mean)
+    after = (potential.eval(process.step(state, rng)) for _ in range(samples))
+    drops = base - np.fromiter(after, dtype=float, count=samples)
+    mean = float(np.mean(drops))
+    se = float(np.std(drops, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return drops, None, mean, (mean - Z99 * se, mean + Z99 * se)
 
 
 def estimate_drift(process: Process, potential, state, samples: int, seed: int):
@@ -480,43 +492,41 @@ def estimate_drift(process: Process, potential, state, samples: int, seed: int):
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
-    base = potential.eval(state)
-    if process.exact_kernel is not None:
-        row = process.exact_kernel(state)
-        est = sum(p * (base - potential.eval(succ)) for succ, p in row)
-        return est, (est, est)
-    rng = trial_rng(seed, 0)
-    vals = base - _one_step_samples(process, potential, state, samples, rng)
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return est, (est - Z99 * se, est + Z99 * se)
+    _, _, est, ci = _one_step_drops(
+        process, potential, state, potential.eval(state), samples, trial_rng(seed, 0)
+    )
+    return est, ci
 
 
-def _sample_states(process, rng, limit=50, keep=None, max_steps=10_000):
-    """Visited-state sampling for huge state spaces: walk trajectories
-    and collect distinct states."""
-    seen = []
-    seen_keys = set()
-    attempts = 0
-    while len(seen) < limit and attempts < 20:
-        attempts += 1
+def _sample_states(process, rng):
+    """Visited-state sampling for huge state spaces: walk up to 20
+    trajectories and collect up to 50 distinct non-target states."""
+    seen = {}  # ordered as first visited
+    for _ in range(20):
         state = process.sample_initial(rng)
-        for _ in range(max_steps):
-            if (keep is None or keep(state)) and state not in seen_keys:
-                seen_keys.add(state)
-                seen.append(state)
-                if len(seen) >= limit:
-                    break
+        for _ in range(10_000):
             if process.is_target(state):
                 break
+            seen[state] = None
+            if len(seen) >= 50:
+                break
             state = process.step(state, rng)
-    return seen
+        if len(seen) >= 50:
+            break
+    return list(seen)
 
 
-_KNOWN_CONDITIONS = (
-    "additive_D", "multiplicative_D", "variable_D", "variance_Var",
-    "step_bound_B", "concentration_C", "monotone_M", "greed_admitting",
-)
+# the parameters each condition requires
+_CONDITIONS = {
+    "additive_D": ("delta",),
+    "multiplicative_D": ("delta",),
+    "variable_D": ("h",),
+    "variance_Var": ("delta",),
+    "step_bound_B": ("c",),
+    "concentration_C": ("beta", "delta"),
+    "monotone_M": (),
+    "greed_admitting": ("h",),
+}
 
 
 def verify_condition(
@@ -531,141 +541,101 @@ def verify_condition(
     beta: Optional[float] = None,
     h=None,
     sense: str = ">=",
-    j_max: int = 10,
 ) -> ConditionReport:
     """Check a named drift-style condition per state.
 
     Exact-kernel processes evaluate expectations exactly (no CI); a
     state fails only when its estimate (or CI) conflicts with the
-    threshold.  Without an explicit state_set, non-target states are
-    sampled from trajectories and the overall verdict is capped at
-    "indeterminate".
+    threshold.  sense (">=" or "<=") says which side of the threshold
+    the drift conditions ask for.  Without an explicit state_set,
+    non-target states are sampled from trajectories and the overall
+    verdict is capped at "indeterminate"; so is a check that examined
+    no state.
     """
-    if condition_id not in _KNOWN_CONDITIONS:
+    if condition_id not in _CONDITIONS:
         raise ParameterError(f"unknown condition id {condition_id!r}")
+    given = {"delta": delta, "c": c, "beta": beta, "h": h}
+    missing = [name for name in _CONDITIONS[condition_id] if given[name] is None]
+    if missing:
+        raise ParameterError(f"{condition_id} requires {' and '.join(missing)}")
+    if sense not in (">=", "<="):
+        raise ParameterError(f"sense must be '>=' or '<=', got {sense!r}")
 
     if condition_id == "greed_admitting":
         # property of the drift function itself, checked on a value grid
-        if h is None:
-            raise ParameterError("greed_admitting requires h")
         hi = max((potential.eval(s) for s, _ in (process.initial_support or ())), default=1.0)
-        xs = np.linspace(0.0, max(hi, 1.0), 1000)
-        ht = xs - np.array([h.eval(float(x)) for x in xs])
-        ok = bool(np.all(np.diff(ht) >= -1e-9))
+        greed, _ = _h_tilde_checks(h, 0.0, max(hi, 1.0))
         return ConditionReport(
             condition_id=condition_id,
             per_state=(),
-            overall="pass" if ok else "fail",
-            extras={"grid_max": float(xs[-1])},
+            overall=greed.status,
+            extras={"grid_max": float(max(hi, 1.0))},
         )
 
     rng = trial_rng(seed, 0)
     sampled_states = state_set is None
     if sampled_states:
-        states = _sample_states(
-            process, rng, keep=lambda s: not process.is_target(s)
-        )
+        states = _sample_states(process, rng)
     else:
         states = [s for s in state_set if not process.is_target(s)]
 
     exact = process.exact_kernel is not None
     tol = 1e-9
+    slack = tol if exact else 0.0  # an exact CI is zero-width: allow for rounding
     per_state = []
-    any_fail = False
-
     for state in states:
         base = potential.eval(state)
-        if exact:
-            row = [(potential.eval(succ), p) for succ, p in process.exact_kernel(state)]
-            diffs = np.array([base - v for v, _ in row])
-            probs = np.array([p for _, p in row])
-            mean_drop = float(np.dot(probs, diffs))
-            ci = (mean_drop, mean_drop)
-            se = 0.0
-        else:
-            vals = base - _one_step_samples(process, potential, state, samples, rng)
-            diffs = vals
-            probs = None
-            mean_drop = float(np.mean(vals))
-            se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-            ci = (mean_drop - Z99 * se, mean_drop + Z99 * se)
-
+        drops, probs, mean_drop, ci = _one_step_drops(
+            process, potential, state, base, samples, rng
+        )
         if condition_id in ("additive_D", "multiplicative_D", "variable_D"):
             if condition_id == "additive_D":
-                if delta is None:
-                    raise ParameterError("additive_D requires delta")
                 threshold = delta
             elif condition_id == "multiplicative_D":
-                if delta is None:
-                    raise ParameterError("multiplicative_D requires delta")
                 threshold = delta * base
             else:
-                if h is None:
-                    raise ParameterError("variable_D requires h")
                 threshold = h.eval(base)
-            if sense == ">=":
-                ok = (mean_drop >= threshold - tol) if exact else (ci[1] >= threshold)
-            else:
-                ok = (mean_drop <= threshold + tol) if exact else (ci[0] <= threshold)
+            ok = ci[1] >= threshold - slack if sense == ">=" else ci[0] <= threshold + slack
             estimate = mean_drop
         elif condition_id == "variance_Var":
-            if delta is None:
-                raise ParameterError("variance_Var requires delta")
             if exact:
-                second = float(np.dot(probs, diffs * diffs))
-                var = second - mean_drop * mean_drop
-                ok = var >= delta - tol
+                var = float(np.dot(probs, drops * drops)) - mean_drop * mean_drop
                 ci = (var, var)
             else:
-                var = float(np.var(diffs, ddof=1))
-                var_se = var * math.sqrt(2.0 / max(len(diffs) - 1, 1))
+                var = float(np.var(drops, ddof=1))
+                var_se = var * math.sqrt(2.0 / max(len(drops) - 1, 1))
                 ci = (var - Z99 * var_se, var + Z99 * var_se)
-                ok = ci[1] >= delta
+            ok = ci[1] >= delta - slack
             estimate = var
-        elif condition_id == "step_bound_B":
-            if c is None:
-                raise ParameterError("step_bound_B requires c")
-            worst = float(np.max(np.abs(diffs))) if len(diffs) else 0.0
+        elif condition_id in ("step_bound_B", "monotone_M"):
             if exact:
-                # ignore zero-probability entries
-                mask = probs > 0
-                worst = float(np.max(np.abs(diffs[mask]))) if mask.any() else 0.0
-            ok = worst <= c + tol
-            estimate = worst
-            ci = (worst, worst)
-        elif condition_id == "concentration_C":
-            if beta is None or delta is None:
-                raise ParameterError("concentration_C requires beta and delta")
+                drops = drops[probs > 0]  # drops that can occur
+            if condition_id == "step_bound_B":
+                estimate = float(np.max(np.abs(drops))) if len(drops) else 0.0
+                ok = estimate <= c + tol
+            else:
+                estimate = float(np.min(drops)) if len(drops) else 0.0
+                ok = estimate >= -tol
+            ci = (estimate, estimate)
+        else:  # concentration_C
             if base <= 1.0:
                 continue
             limit = beta * delta / math.log(base)
             cut = beta * base
             if exact:
-                freq = float(np.sum(probs[diffs >= cut - tol]))
-                ok = freq <= limit + tol
+                freq = float(np.sum(probs[drops >= cut - tol]))
                 ci = (freq, freq)
             else:
-                freq = float(np.mean(diffs >= cut))
-                p_se = math.sqrt(max(freq * (1 - freq), 1e-12) / len(diffs))
+                freq = float(np.mean(drops >= cut))
+                p_se = math.sqrt(max(freq * (1 - freq), 1e-12) / len(drops))
                 ci = (freq - Z99 * p_se, freq + Z99 * p_se)
-                ok = ci[0] <= limit
+            ok = ci[0] <= limit + slack
             estimate = freq
-        elif condition_id == "monotone_M":
-            if exact:
-                mask = probs > 0
-                worst = float(np.min(diffs[mask])) if mask.any() else 0.0
-            else:
-                worst = float(np.min(diffs)) if len(diffs) else 0.0
-            ok = worst >= -tol
-            estimate = worst
-            ci = (worst, worst)
-
         per_state.append((state, estimate, ci, ok))
-        any_fail = any_fail or not ok
 
-    if any_fail:
+    if any(not ok for *_, ok in per_state):
         overall = "fail"
-    elif exact and not sampled_states:
+    elif exact and not sampled_states and per_state:
         overall = "pass"
     else:
         overall = "indeterminate"

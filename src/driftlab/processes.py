@@ -193,6 +193,13 @@ def _categorical(rng: np.random.Generator, pairs):
     return pairs[-1][0]
 
 
+def _whole(spec: str, key: str, value) -> int:
+    """A size parameter as an int; a non-integral value is an error naming it."""
+    if isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ParameterError(f"{spec} parameter {key!r} must be a whole number, got {value!r}")
+
+
 def _chain_process(name, kernel_map, start_pairs, value, is_target) -> Process:
     """Assemble a Process from an explicit kernel over hashable states."""
 
@@ -240,6 +247,9 @@ def make_simple_chain(kind: str, **params) -> Process:
         raise ParameterError(
             f"unknown chain kind {kind!r}; expected one of {sorted(builders)}"
         )
+    for key in ("n", "k"):
+        if key in params:
+            params[key] = _whole(kind, key, params[key])
     return builders[kind](**params)
 
 
@@ -470,9 +480,12 @@ def make_ea_process(
             raise ParameterError("linear weights must be positive")
         if any(weights[i] <= weights[i + 1] for i in range(n - 1)):
             raise ParameterError("linear weights must be strictly decreasing")
+    spec = f"{algorithm}-{objective}"
+    n = None if n is None else _whole(spec, "n", n)
     if n is None or n < 1:
         raise ParameterError("objective requires n >= 1")
     if objective == "plateau":
+        k = None if k is None else _whole(spec, "k", k)
         if k is None or not (2 <= k <= n):
             raise ParameterError("plateau requires 2 <= k <= n")
     if algorithm == "OnePlusOneEA":

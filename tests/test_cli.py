@@ -372,6 +372,44 @@ def test_oracle_command_rejects_huge_state_space(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("coupon(n=abc)", "coupon parameter 'n' must be numeric, got 'abc'"),
+        ("OnePlusOneEA-leadingones(n=4,p=abc)",
+         "OnePlusOneEA-leadingones parameter 'p' must be numeric, got 'abc'"),
+        ("RLS-onemax(n=4.5)", "RLS-onemax parameter 'n' must be a whole number, got 4.5"),
+        ("coupon(n=5.5)", "coupon parameter 'n' must be a whole number, got 5.5"),
+        ("RLS-onemax(n=4,q=3)", "RLS-onemax takes no parameter 'q'"),
+    ],
+)
+def test_oracle_command_names_what_is_wrong_with_the_process(spec, message, capsys):
+    code = main(["oracle", spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"drift: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["bound", "budget.var", "--params", "h=linear:0.1", "x0=10", "t=2.5"], "t", "2.5"),
+        (["bound", "fss.upper", "--params", "p_leave=0.5", "p_back=0.1", "x0=1.5"], "x0", "1.5"),
+        (["bound", "levelbased", "--params", "m=3.7", "lam=20000", "delta=0.5",
+          "gamma0=0.5", "z=0.01:0.05"], "m", "3.7"),
+    ],
+)
+def test_bound_command_refuses_a_fractional_count(argv, key, value, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"drift: error: {argv[1]} parameter {key!r} must be a whole number, got {value}\n"
+    )
+
+
 def test_simulate_command(capsys):
     code = main(
         ["simulate", "geometric(p=0.5)", "--trials", "2000", "--seed", "3"]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from driftlab import errors
+from driftlab.bounds import DriftFunction, fixed_budget_variable, linear_drift
 from driftlab.montecarlo import (
     _FEW_TRIALS,
     _FIRST_BLOCK,
@@ -196,6 +197,73 @@ def test_unknown_condition_rejected():
         verify_condition(
             make_simple_chain("coupon", n=4), identity_potential(), "no_such"
         )
+
+
+def test_condition_checks_give_no_false_pass():
+    coupon = make_simple_chain("coupon", n=6)
+    ident = identity_potential()
+    # a missing parameter is an error even when no state needs it
+    with pytest.raises(errors.ParameterError, match="delta"):
+        verify_condition(coupon, ident, "additive_D", state_set=[0])
+    with pytest.raises(errors.ParameterError, match="sense"):
+        verify_condition(coupon, ident, "additive_D", state_set=[1, 2], delta=1.0, sense="==")
+    # a check that examined no state cannot pass
+    empty = verify_condition(coupon, ident, "additive_D", state_set=[], delta=1.0)
+    assert empty.overall == "indeterminate"
+    assert empty.per_state == ()
+
+
+def test_verify_variable_drift_condition():
+    # coupon(6) drifts by exactly d/6 at d missing coupons
+    coupon = make_simple_chain("coupon", n=6)
+    states = [1, 2, 3, 4, 5, 6]
+    for sense in (">=", "<="):
+        rep = verify_condition(coupon, identity_potential(), "variable_D", state_set=states,
+                               h=linear_drift(1 / 6), sense=sense)
+        assert rep.overall == "pass"
+    rep = verify_condition(coupon, identity_potential(), "variable_D", state_set=states,
+                           h=linear_drift(0.2))
+    assert rep.overall == "fail"
+    assert [est for _, est, _, _ in rep.per_state] == pytest.approx([d / 6 for d in states])
+
+
+def test_verify_concentration_condition():
+    # coupon(6) drops by 1 with probability d/6; with beta = 0.1 every
+    # such drop reaches beta * d, against the limit beta * delta / ln d
+    coupon = make_simple_chain("coupon", n=6)
+    states = [1, 2, 3, 4, 5, 6]
+    ok = verify_condition(coupon, identity_potential(), "concentration_C", state_set=states,
+                          beta=0.1, delta=20.0)
+    assert ok.overall == "pass"
+    assert [s for s, *_ in ok.per_state] == [2, 3, 4, 5, 6]  # d = 1 has ln d = 0
+    assert [est for _, est, _, _ in ok.per_state] == pytest.approx([d / 6 for d in states[1:]])
+    bad = verify_condition(coupon, identity_potential(), "concentration_C", state_set=states,
+                           beta=0.1, delta=1.0)
+    assert bad.overall == "fail"
+
+
+@pytest.mark.parametrize("greedy", [True, False])
+def test_greed_admitting_agrees_with_the_fixed_budget_flag(greedy):
+    h = linear_drift(0.1) if greedy else DriftFunction(eval=lambda x: 2.0 - x if x < 1.5 else x)
+    coupon = make_simple_chain("coupon", n=6)  # the grid runs to the start value 6
+    rep = verify_condition(coupon, identity_potential(), "greed_admitting", h=h)
+    flags = {f.name: f.status for f in fixed_budget_variable(h, 6.0, 3).preconditions}
+    assert rep.overall == flags["greed_admitting"] == ("pass" if greedy else "fail")
+    assert rep.extras["grid_max"] == 6.0
+
+
+@pytest.mark.parametrize("state_set", [[1, 2, 3, 4, 5, 6], None], ids=["explicit", "sampled"])
+def test_sampled_one_step_draws_fail_or_stay_indeterminate(state_set):
+    # the drift d/6 lies in [1/6, 1]
+    coupon = dataclasses.replace(make_simple_chain("coupon", n=6), exact_kernel=None)
+    far_above = verify_condition(coupon, identity_potential(), "additive_D",
+                                 state_set=state_set, samples=500, delta=5.0)
+    assert far_above.overall == "fail"
+    far_below = verify_condition(coupon, identity_potential(), "additive_D",
+                                 state_set=state_set, samples=500, delta=0.01)
+    assert far_below.overall == "indeterminate"
+    assert not far_below.extras["exact"]
+    assert all(ok and lo <= est <= hi for _, est, (lo, hi), ok in far_below.per_state)
 
 
 def test_trajectory_holds_value_after_absorption():
@@ -406,6 +474,19 @@ def _small_chains(draw):
 @given(process=_small_chains(), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_random_chains_match_reference_loop_trial_by_trial(process, seed):
     _assert_matches_reference(process, trials=20, seed=seed, cap=40, horizon=10)
+
+
+@settings(max_examples=50, deadline=None)
+@given(process=_small_chains(),
+       values=st.lists(st.floats(min_value=-10, max_value=10), min_size=6, max_size=6))
+def test_estimate_drift_equals_the_condition_checks_estimate(process, values):
+    g = Potential(eval=lambda s: values[s], description="random")
+    states = to_finite_chain(process).states
+    rep = verify_condition(process, g, "additive_D", state_set=states, delta=0.0)
+    checked = [s for s in states if not process.is_target(s)]
+    assert [s for s, *_ in rep.per_state] == checked
+    for state, est, _, _ in rep.per_state:
+        assert estimate_drift(process, g, state, samples=1, seed=0)[0] == est
 
 
 def test_lifted_leadingones_ea_simulates_through_its_own_value():
