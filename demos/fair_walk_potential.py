@@ -21,7 +21,7 @@ lifted = lift(process, g)
 
 start_value = g(N // 2)
 upper = additive_upper(e_x0=start_value, delta=1.0)
-lower = additive_lower(e_x0=start_value, delta=1.0, step_bound_c=float(N - 1))
+lower = additive_lower(e_x0=start_value, delta=1.0, c=float(N - 1))
 exact = hitting_time_exact(to_finite_chain(process)).from_start
 
 print(f"potential at the start   {start_value:.1f}")

@@ -82,7 +82,7 @@ def check_ruin_square(seed: int = 0) -> ComparisonRow:
     square = potentials.walk_square_two_barrier(2 * n)
     e_g0 = square.eval(n)  # start value of the square potential
     upper = bounds.additive_upper(e_g0, 1.0).bound
-    lower = bounds.additive_lower(e_g0, 1.0, step_bound_c=2.0 * n - 1.0).bound
+    lower = bounds.additive_lower(e_g0, 1.0, c=2.0 * n - 1.0).bound
     subs.append(("square_upper", _close(upper, float(n * n))))
     subs.append(("square_lower", _close(lower, float(n * n))))
     interior = list(range(1, 2 * n))

@@ -131,7 +131,7 @@ def additive_upper(e_x0: float, delta: float) -> BoundReport:
 
 
 def additive_lower(
-    e_x0: float, delta: float, step_bound_c: float, profile: str = "bounded_steps"
+    e_x0: float, delta: float, c: float, profile: str = "bounded_steps"
 ) -> BoundReport:
     """Expected time at least E[X0]/delta under drift at most delta.
 
@@ -141,19 +141,19 @@ def additive_lower(
     """
     if delta <= 0:
         raise ParameterError("delta must be positive")
-    if step_bound_c <= 0:
+    if c <= 0:
         raise ParameterError("c must be positive")
     if profile not in ("bounded_steps", "bounded_state"):
         raise ParameterError(f"unknown precondition profile {profile!r}")
     flag_name = "step_bound_B" if profile == "bounded_steps" else "state_bound_UB"
     return BoundReport(
         theorem_id="additive.lower",
-        inputs={"E_X0": e_x0, "delta": delta, "c": step_bound_c, "profile": profile},
+        inputs={"E_X0": e_x0, "delta": delta, "c": c, "profile": profile},
         bound=e_x0 / delta,
         direction=LOWER_ON_ET,
         preconditions=(
             PreconditionFlag("drift_D", UNCHECKED, "drift <= delta"),
-            PreconditionFlag(flag_name, UNCHECKED, f"c = {step_bound_c}"),
+            PreconditionFlag(flag_name, UNCHECKED, f"c = {c}"),
         ),
     )
 
@@ -420,7 +420,7 @@ def negative_drift_escape(n: float, eps: float, c: float, s: float) -> BoundRepo
 # Finite state spaces
 # ---------------------------------------------------------------------------
 
-def finite_state_upper(p_leave, p_back, x0: int) -> BoundReport:
+def finite_state_upper(p_leave: tuple, p_back: tuple, x0: int) -> BoundReport:
     """Double-sum upper bound for chains on [0..n] with up-steps of 1.
 
     p_leave[s-1] lower-bounds the probability of decreasing from s,
@@ -440,7 +440,7 @@ def finite_state_upper(p_leave, p_back, x0: int) -> BoundReport:
     )
 
 
-def finite_state_lower(p_fwd, p_back_lb, x0: int) -> BoundReport:
+def finite_state_lower(p_fwd: tuple, p_back_lb: tuple, x0: int) -> BoundReport:
     """Double-sum lower bound; p_fwd[s-1] upper-bounds the probability
     of decreasing (by exactly 1) from s, p_back_lb[s] lower-bounds the
     probability of increasing from s."""

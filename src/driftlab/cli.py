@@ -8,8 +8,11 @@ hitting time), `simulate` (seeded Monte Carlo).  Exit codes: 0 ok,
 
 import argparse
 import configparser
+import dataclasses
+import inspect
 import re
 import sys
+from typing import Optional, Union, get_args, get_origin
 
 from . import acceptance, bounds, montecarlo, oracle as oracle_mod, potentials, processes
 from .errors import CapacityError, ConfigError, DriftError, UnsupportedError
@@ -54,29 +57,29 @@ def _parse_call(spec: str):
 def parse_process(spec: str):
     """Build a catalog process from a name(k=v,...) spec.
 
-    Simple chains use their catalog kind (coupon, geometric, ...);
-    search heuristics use algorithm-objective, e.g. RLS-onemax(n=12)
-    or OnePlusOneEA-leadingones(n=10,p=0.1).
+    Simple chains use their catalog kind (coupon, geometric, ...) and
+    take the keys of its builder; search heuristics use
+    algorithm-objective, e.g. RLS-onemax(n=12) or
+    OnePlusOneEA-leadingones(n=10,p=0.1).
     """
     name, params = _parse_call(spec)
-    _check_numeric(name, params)
     if "-" in name:
         algorithm, objective = name.split("-", 1)
         extra = sorted(set(params) - {"n", "k", "p"})
         if extra:
             raise ConfigError(f"{name} takes no parameter {extra[0]!r}")
+        for key, value in params.items():
+            _number(name, key, value)
         return processes.make_ea_process(
-            algorithm,
-            objective,
-            n=params.get("n"),
-            k=params.get("k"),
-            mutation_rate=params.get("p"),
+            algorithm, objective, params.get("n"), params.get("k"), mutation_rate=params.get("p")
         )
-    return processes.make_simple_chain(name, **params)
+    if name not in processes._SIMPLE_CHAINS:
+        return processes.make_simple_chain(name)  # names the known kinds
+    return _bind(name, processes._SIMPLE_CHAINS[name], params)
 
 
 _POTENTIALS = {
-    "identity": lambda: potentials.identity_potential(),
+    "identity": potentials.identity_potential,
     "glue_two_part": potentials.glue_two_part,
     "plateau_upper": potentials.plateau_upper_potential,
     "plateau_lower": potentials.plateau_lower_potential,
@@ -98,7 +101,7 @@ def parse_potential(spec: str, process=None):
             f"unknown potential {name!r}; expected one of "
             f"{sorted(_POTENTIALS) + ['expected_time']}"
         )
-    return _POTENTIALS[name](**params)
+    return _bind(name, _POTENTIALS[name], params)
 
 
 def _drift_fn(value) -> bounds.DriftFunction:
@@ -112,137 +115,125 @@ def _drift_fn(value) -> bounds.DriftFunction:
     raise ConfigError(f"cannot parse drift function {value!r}; use linear:d or const:d")
 
 
-def _floats(value):
+def _number(what: str, key: str, value):
+    if isinstance(value, (int, float)):
+        return value
+    raise ConfigError(f"{what} parameter {key!r} must be numeric, got {value!r}")
+
+
+def _floats(what: str, key: str, value) -> tuple:
     """A colon-separated list; a single number is a one-element list."""
-    return [float(v) for v in (value if isinstance(value, list) else [value])]
+    items = value if isinstance(value, list) else [value]
+    return tuple(float(_number(what, key, v)) for v in items)
 
 
-class _NotWhole(Exception):
-    """A calculator parameter that must be a whole number is not."""
+def _word(what: str, key: str, value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{what} parameter {key!r} must be a word, got {value!r}")
 
 
-def _int(p, key: str) -> int:
-    value = p[key]
-    if isinstance(value, int) or (isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise _NotWhole(key, value)
+def _levels(p: tuple, v: Optional[tuple] = None) -> bounds.LevelProfile:
+    """The level profile of keys p and v; m is one more than len(p)."""
+    return bounds.LevelProfile(m=len(p) + 1, p=p, v=v)
 
 
-def _level_profile(p, visits=False) -> bounds.LevelProfile:
-    probs = tuple(_floats(p["p"]))
-    v = tuple(_floats(p["v"])) if visits else None
-    return bounds.LevelProfile(m=len(probs) + 1, p=probs, v=v)
-
-
-def _calc_headwind(p, x0=None, closed=False):
-    params = bounds.HeadwindParams(
-        p_minus=tuple(_floats(p["p_minus"])),
-        p_plus=tuple(_floats(p["p_plus"])),
-        delta=tuple(_floats(p["delta"])),
-        kappa=_int(p, "kappa"),
-    )
-    if closed:
-        return bounds.headwind_closed(params)
-    return bounds.headwind_upper(params, _int(p, "x0"))
-
-
-_CALCULATORS = {
-    "additive.upper": lambda p: bounds.additive_upper(p["e_x0"], p["delta"]),
-    "additive.lower": lambda p: bounds.additive_lower(
-        p["e_x0"], p["delta"], p["c"], p.get("profile", "bounded_steps")
-    ),
-    "additive.overshoot.upper": lambda p: bounds.additive_overshoot_upper(
-        p["e_x0"], p["e_xt"], p["delta"]
-    ),
-    "mult.upper": lambda p: bounds.multiplicative_upper(p["e_x0"], p["delta"]),
-    "mult.tail": lambda p: bounds.multiplicative_tail(p["s"], p["delta"], p["k"]),
-    "mult.lower.monotone": lambda p: bounds.multiplicative_lower_monotone(
-        p["x0"], p["delta"], p["beta"]
-    ),
-    "mult.lower.bounded": lambda p: bounds.multiplicative_lower_bounded_step(
-        p["x0"], p["delta"], p["c"], p["x_min"]
-    ),
-    "var.upper": lambda p: bounds.variable_drift_upper(
-        _drift_fn(p["h"]), p["x_min"], p["x0"]
-    ),
-    "tail.add.upper.bounded": lambda p: bounds.additive_tail_upper_bounded(
-        p["n"], p["delta"], p["c"], p["s"]
-    ),
-    "tail.add.upper.concentrated": lambda p: bounds.additive_tail_upper_concentrated(
-        p["n"], p["delta"], p["c"], p["eps"], p["s"]
-    ),
-    "tail.add.lower.bounded": lambda p: bounds.additive_tail_lower_bounded(
-        p["n"], p["delta"], p["c"], p["s"]
-    ),
-    "tail.add.lower.concentrated": lambda p: bounds.additive_tail_lower_concentrated(
-        p["n"], p["delta"], p["c"], p["eps"], p["s"]
-    ),
-    "neg.515": lambda p: bounds.negative_drift_escape(
-        p["n"], p["eps"], p["c"], p["s"]
-    ),
-    "fss.upper": lambda p: bounds.finite_state_upper(
-        _floats(p["p_leave"]), _floats(p["p_back"]), _int(p, "x0")
-    ),
-    "fss.lower": lambda p: bounds.finite_state_lower(
-        _floats(p["p_fwd"]), _floats(p["p_back_lb"]), _int(p, "x0")
-    ),
-    "headwind": lambda p: _calc_headwind(p),
-    "headwind.closed": lambda p: _calc_headwind(p, closed=True),
-    "updrift": lambda p: bounds.updrift_upper(
-        bounds.UpDriftParams(
-            n=_int(p, "n"), k=_int(p, "k"), e0=p["e0"],
-            gamma0=p["gamma0"], delta=p["delta"],
-        )
-    ),
-    "levelbased": lambda p: bounds.level_based(
-        bounds.LevelBasedParams(
-            m=_int(p, "m"), lam=_int(p, "lam"), delta=p["delta"],
-            gamma0=p["gamma0"], z=tuple(_floats(p["z"])),
-        )
-    ),
-    "flm.upper": lambda p: bounds.flm_upper(_level_profile(p)),
-    "flm.visit.lower": lambda p: bounds.flm_visit_lower(_level_profile(p, visits=True)),
-    "flm.visit.upper": lambda p: bounds.flm_visit_upper(_level_profile(p, visits=True)),
-    "budget.add": lambda p: bounds.fixed_budget_additive(
-        p["x0"], p["delta"], _int(p, "t"), p.get("pr_t_le_t")
-    ),
-    "budget.var": lambda p: bounds.fixed_budget_variable(
-        _drift_fn(p["h"]), p["x0"], _int(p, "t"), p.get("variant", "unlimited")
-    ),
-    "budget.threshold": lambda p: bounds.iterated_budget_threshold(
-        _drift_fn(p["h"]), p["x"], p["y"], p.get("domain", "continuous")
-    ),
+# annotation -> converter (what, key, parsed value) -> argument
+_CONVERTERS = {
+    float: _number,
+    int: lambda what, key, value: processes._whole(what, key, _number(what, key, value)),
+    tuple: _floats,
+    str: _word,
+    bounds.DriftFunction: lambda what, key, value: _drift_fn(value),
 }
 
 
-# parameters whose values are words or drift-function shorthands
-_WORD_KEYS = frozenset({"profile", "variant", "domain", "h"})
+def _parameters(fn):
+    """(parameter, kind, maker) for each parameter of fn.  kind is the
+    type its annotation names (X for Optional[X]); a maker, where there
+    is one, builds the argument from its own parameters' keys."""
+    for param in inspect.signature(fn).parameters.values():
+        kind = param.annotation
+        if get_origin(kind) is Union:
+            kind = get_args(kind)[0]
+        if kind is bounds.LevelProfile:
+            maker = _levels
+        elif dataclasses.is_dataclass(kind) and kind not in _CONVERTERS:
+            maker = kind
+        else:
+            maker = None
+        yield param, kind, maker
 
 
-def _numeric(value) -> bool:
-    items = value if isinstance(value, list) else [value]
-    return all(isinstance(v, (int, float)) for v in items)
+def _keys(fn):
+    """(key, kind) of each key fn takes, in signature order."""
+    for param, kind, maker in _parameters(fn):
+        if maker is None:
+            yield param.name, kind
+        else:
+            yield from _keys(maker)
 
 
-def _check_numeric(what: str, params: dict, words=frozenset()) -> None:
-    for key, value in params.items():
-        if key not in words and not _numeric(value):
-            raise ConfigError(f"{what} parameter {key!r} must be numeric, got {value!r}")
+def _arguments(what: str, fn, params: dict) -> dict:
+    args = {}
+    for param, kind, maker in _parameters(fn):
+        if maker is not None:
+            args[param.name] = maker(**_arguments(what, maker, params))
+        elif param.name in params:
+            args[param.name] = _CONVERTERS[kind](what, param.name, params[param.name])
+        elif param.default is param.empty:
+            raise ConfigError(f"{what} needs parameter {param.name!r}")
+    return args
+
+
+def _bind(what: str, fn, params: dict):
+    """Call fn with the name(k=v) params of `what`, each converted by the
+    annotation of the parameter that takes it.  A key that fn does not
+    take is an error naming it and the keys fn takes.  Then, in
+    signature order, a missing parameter without a default or a value
+    that does not convert is an error naming that parameter."""
+    keys = [key for key, _ in _keys(fn)]
+    for key in params:
+        if key not in keys:
+            raise ConfigError(
+                f"{what} takes no parameter {key!r}; it takes {', '.join(keys) or 'none'}"
+            )
+    return fn(**_arguments(what, fn, params))
+
+
+# theorem id -> its calculator in `bounds`, looked up by name at call time so
+# that a function replaced on `bounds` after import is the one called
+_CALCULATORS = {
+    "additive.upper": "additive_upper",
+    "additive.lower": "additive_lower",
+    "additive.overshoot.upper": "additive_overshoot_upper",
+    "mult.upper": "multiplicative_upper",
+    "mult.tail": "multiplicative_tail",
+    "mult.lower.monotone": "multiplicative_lower_monotone",
+    "mult.lower.bounded": "multiplicative_lower_bounded_step",
+    "var.upper": "variable_drift_upper",
+    "tail.add.upper.bounded": "additive_tail_upper_bounded",
+    "tail.add.upper.concentrated": "additive_tail_upper_concentrated",
+    "tail.add.lower.bounded": "additive_tail_lower_bounded",
+    "tail.add.lower.concentrated": "additive_tail_lower_concentrated",
+    "neg.515": "negative_drift_escape",
+    "fss.upper": "finite_state_upper",
+    "fss.lower": "finite_state_lower",
+    "headwind": "headwind_upper",
+    "headwind.closed": "headwind_closed",
+    "updrift": "updrift_upper",
+    "levelbased": "level_based",
+    "flm.upper": "flm_upper",
+    "flm.visit.lower": "flm_visit_lower",
+    "flm.visit.upper": "flm_visit_upper",
+    "budget.add": "fixed_budget_additive",
+    "budget.var": "fixed_budget_variable",
+    "budget.threshold": "iterated_budget_threshold",
+}
 
 
 def _calculate(theorem_id: str, params: dict) -> bounds.BoundReport:
-    """Run one calculator; a missing, non-numeric or, where a count is
-    needed, non-integral parameter is a ConfigError naming it."""
-    _check_numeric(theorem_id, params, _WORD_KEYS)
-    try:
-        return _CALCULATORS[theorem_id](params)
-    except KeyError as exc:
-        raise ConfigError(f"{theorem_id} needs parameter {exc.args[0]!r}") from exc
-    except _NotWhole as exc:
-        key, value = exc.args
-        raise ConfigError(
-            f"{theorem_id} parameter {key!r} must be a whole number, got {value!r}"
-        ) from exc
+    return _bind(theorem_id, getattr(bounds, _CALCULATORS[theorem_id]), params)
 
 
 def _flags_text(report: bounds.BoundReport) -> str:

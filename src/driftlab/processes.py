@@ -234,23 +234,14 @@ def make_simple_chain(kind: str, **params) -> Process:
     target (missing coupons, remaining streak, coins to a barrier,
     uninformed people).
     """
-    builders = {
-        "coupon": _coupon,
-        "generalized_coupon": _generalized_coupon,
-        "geometric": _geometric,
-        "winning_streak": _winning_streak,
-        "gamblers_ruin": _gamblers_ruin,
-        "fair_walk_reflecting": _fair_walk_reflecting,
-        "rumor": _rumor,
-    }
-    if kind not in builders:
+    if kind not in _SIMPLE_CHAINS:
         raise ParameterError(
-            f"unknown chain kind {kind!r}; expected one of {sorted(builders)}"
+            f"unknown chain kind {kind!r}; expected one of {sorted(_SIMPLE_CHAINS)}"
         )
     for key in ("n", "k"):
         if key in params:
             params[key] = _whole(kind, key, params[key])
-    return builders[kind](**params)
+    return _SIMPLE_CHAINS[kind](**params)
 
 
 def _coupon(n: int) -> Process:
@@ -379,6 +370,18 @@ def _rumor(n: int) -> Process:
     )
 
 
+# kind -> builder; the builders' signatures are the keys each kind takes
+_SIMPLE_CHAINS = {
+    "coupon": _coupon,
+    "generalized_coupon": _generalized_coupon,
+    "geometric": _geometric,
+    "winning_streak": _winning_streak,
+    "gamblers_ruin": _gamblers_ruin,
+    "fair_walk_reflecting": _fair_walk_reflecting,
+    "rumor": _rumor,
+}
+
+
 # ---------------------------------------------------------------------------
 # Randomized local search and the (1+1) EA
 # ---------------------------------------------------------------------------
@@ -481,6 +484,10 @@ def make_ea_process(
         if any(weights[i] <= weights[i + 1] for i in range(n - 1)):
             raise ParameterError("linear weights must be strictly decreasing")
     spec = f"{algorithm}-{objective}"
+    if algorithm == "RLS" and mutation_rate is not None:
+        raise ParameterError(f"{spec} takes no mutation rate; RLS flips exactly one bit")
+    if objective != "plateau" and k is not None:
+        raise ParameterError(f"{spec} takes no k; only plateau has a radius k")
     n = None if n is None else _whole(spec, "n", n)
     if n is None or n < 1:
         raise ParameterError("objective requires n >= 1")

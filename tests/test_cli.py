@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from driftlab import errors
+from driftlab import bounds, cli, errors, processes
 from driftlab.cli import (
     load_config,
     main,
@@ -134,6 +134,21 @@ def test_parse_potential_registry():
         parse_potential("no_such_potential")
     with pytest.raises(errors.ConfigError):
         parse_potential("expected_time")  # needs a process
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("plateau_upper(n=5.5,k=2)", "plateau_upper parameter 'n' must be a whole number, got 5.5"),
+        ("plateau_upper(n=abc,k=2)", "plateau_upper parameter 'n' must be numeric, got 'abc'"),
+        ("glue_two_part(x=1)", "glue_two_part takes no parameter 'x'; it takes k"),
+        ("identity(k=1)", "identity takes no parameter 'k'; it takes none"),
+    ],
+)
+def test_parse_potential_names_what_is_wrong(spec, message):
+    with pytest.raises(errors.DriftError) as exc:
+        parse_potential(spec)
+    assert str(exc.value) == message
 
 
 # --- config loading -----------------------------------------------------
@@ -272,6 +287,60 @@ def test_bound_command_names_missing_parameter(argv, message, capsys):
     assert err == f"drift: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "budget.add", "--params", "x0=10", "delta=1", "t=3", "pr_t_le_T=0.5"],
+         "budget.add takes no parameter 'pr_t_le_T'; it takes x0, delta, t, pr_t_le_t"),
+        # a misspelt required key is named as misspelt, not as missing
+        (["bound", "mult.upper", "--params", "e_x=20", "delta=1"],
+         "mult.upper takes no parameter 'e_x'; it takes e_x0, delta"),
+        (["bound", "headwind.closed", "--params", "p_minus=0:1", "p_plus=0:0", "delta=1:1",
+          "kappa=0", "x0=1"],
+         "headwind.closed takes no parameter 'x0'; it takes p_minus, p_plus, delta, kappa"),
+    ],
+)
+def test_bound_command_names_unknown_parameter(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"drift: error: {message}\n"
+
+
+# the first parameter each calculator takes, in signature order
+_FIRST_PARAMETER = {
+    "additive.upper": "e_x0", "additive.lower": "e_x0", "additive.overshoot.upper": "e_x0",
+    "mult.upper": "e_x0", "mult.tail": "s", "mult.lower.monotone": "x0",
+    "mult.lower.bounded": "x0", "var.upper": "h",
+    "tail.add.upper.bounded": "n", "tail.add.upper.concentrated": "n",
+    "tail.add.lower.bounded": "n", "tail.add.lower.concentrated": "n", "neg.515": "n",
+    "fss.upper": "p_leave", "fss.lower": "p_fwd",
+    "headwind": "p_minus", "headwind.closed": "p_minus", "updrift": "n", "levelbased": "m",
+    "flm.upper": "p", "flm.visit.lower": "p", "flm.visit.upper": "p",
+    "budget.add": "x0", "budget.var": "h", "budget.threshold": "h",
+}
+
+
+@pytest.mark.parametrize("theorem_id", sorted(cli._CALCULATORS))
+def test_bound_command_without_parameters_names_the_first(theorem_id, capsys):
+    code = main(["bound", theorem_id])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"drift: error: {theorem_id} needs parameter {_FIRST_PARAMETER[theorem_id]!r}\n"
+    )
+
+
+def test_every_spec_parameter_has_a_converter():
+    # an unannotated parameter would otherwise fail only at a user's prompt
+    targets = [getattr(bounds, name) for name in cli._CALCULATORS.values()]
+    targets += [*processes._SIMPLE_CHAINS.values(), *cli._POTENTIALS.values()]
+    for fn in targets:
+        for key, kind in cli._keys(fn):
+            assert kind in cli._CONVERTERS, f"{fn.__name__} parameter {key!r}: {kind!r}"
+
+
 def test_bound_command_names_non_numeric_parameter(capsys):
     code = main(["bound", "mult.upper", "--params", "e_x0=abc", "delta=1"])
     err = capsys.readouterr().err
@@ -381,6 +450,10 @@ def test_oracle_command_rejects_huge_state_space(capsys):
         ("RLS-onemax(n=4.5)", "RLS-onemax parameter 'n' must be a whole number, got 4.5"),
         ("coupon(n=5.5)", "coupon parameter 'n' must be a whole number, got 5.5"),
         ("RLS-onemax(n=4,q=3)", "RLS-onemax takes no parameter 'q'"),
+        ("coupon(m=5)", "coupon takes no parameter 'm'; it takes n"),
+        ("coupon()", "coupon needs parameter 'n'"),
+        ("RLS-onemax(n=4,p=0.9)", "RLS-onemax takes no mutation rate; RLS flips exactly one bit"),
+        ("OnePlusOneEA-onemax(n=4,k=3)", "OnePlusOneEA-onemax takes no k; only plateau has a radius k"),
     ],
 )
 def test_oracle_command_names_what_is_wrong_with_the_process(spec, message, capsys):

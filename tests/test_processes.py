@@ -114,6 +114,18 @@ def test_linear_objective_validates_weights():
     assert proc.value((1, 1, 1)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "algorithm, objective, extra, message",
+    [
+        ("RLS", "onemax", {"mutation_rate": 0.9}, "RLS-onemax takes no mutation rate"),
+        ("OnePlusOneEA", "leadingones", {"k": 3}, "OnePlusOneEA-leadingones takes no k"),
+    ],
+)
+def test_ea_process_refuses_a_parameter_it_would_ignore(algorithm, objective, extra, message):
+    with pytest.raises(errors.ParameterError, match=message):
+        make_ea_process(algorithm, objective, n=4, **extra)
+
+
 def test_sorting_inversions_never_increase():
     start = (4, 3, 2, 1)
     proc = make_sorting_process(4, start)
