@@ -160,26 +160,28 @@ def check_coupon_tails(seed: int = 0) -> ComparisonRow:
 # 5. LeadingOnes: closed-form expectation and exact visit probabilities
 # ---------------------------------------------------------------------------
 
+def _mask_leading_ones(x: int, n: int) -> int:
+    """LeadingOnes of an n-bit mask, bit i being position i."""
+    c = 0
+    while c < n and (x >> c) & 1:
+        c += 1
+    return c
+
+
 def _leadingones_bruteforce_chain(n: int, p: float) -> FiniteChain:
     """Full 2^n-state transition matrix of the bit-flip hill climber on
     the leading-ones landscape (masks as integers, bit i = position i)."""
-
-    def lo(x: int) -> int:
-        c = 0
-        while c < n and (x >> c) & 1:
-            c += 1
-        return c
-
     size = 1 << n
     kernel = np.zeros((size, size))
     for x in range(size):
-        if lo(x) == n:
+        lo = _mask_leading_ones(x, n)
+        if lo == n:
             kernel[x, x] = 1.0
             continue
         for mask in range(size):
             pm = p ** bin(mask).count("1") * (1.0 - p) ** (n - bin(mask).count("1"))
             y = x ^ mask
-            kernel[x, y if lo(y) >= lo(x) else x] += pm
+            kernel[x, y if _mask_leading_ones(y, n) >= lo else x] += pm
     start = np.full(size, 1.0 / size)
     return FiniteChain(
         states=tuple(range(size)),
@@ -207,14 +209,7 @@ def check_leadingones_exactness(seed: int = 0) -> ComparisonRow:
     )
     subs.append(("visit_formula", _close(bounds.flm_visit_upper(profile).bound, exact)))
     small = _leadingones_bruteforce_chain(4, 0.25)
-
-    def level(x: int) -> int:
-        c = 0
-        while c < 4 and (x >> c) & 1:
-            c += 1
-        return c
-
-    visits = oracle.visit_probabilities_exact(small, level)
+    visits = oracle.visit_probabilities_exact(small, lambda x: _mask_leading_ones(x, 4))
     for lv in range(4):
         subs.append((f"visit_l{lv}", _close(visits[lv], 0.5)))
     subs.append(("visit_top", _close(visits[4], 1.0)))

@@ -4,8 +4,8 @@ Trials are keyed by (seed, trial index) through SeedSequence spawn
 keys, so results are deterministic and independent of trial execution
 order.  The reference for every simulation is the loop over a trial's
 Process interface (sample_initial, is_target, step).  A process whose
-step_law says how step draws (kernel chains, the (1+1) EA on
-LeadingOnes) is instead stepped by the lockstep walker: all live trials
+step_law is a KernelDraw (kernel chains) or LeadingOnesEA (the (1+1) EA
+on LeadingOnes) is instead stepped by the lockstep walker: all live trials
 of a chunk advance together in numpy, each reading its own stream in
 blocks, since rng.random(a) followed by rng.random(b) gives the numbers
 of rng.random(a + b).  Its hitting times and value curves equal the
@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import _h_tilde_checks
 from .errors import ParameterError
-from .processes import KernelDraw, Process
+from .processes import KernelDraw, LeadingOnesEA, Process
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -284,11 +284,12 @@ def _steps_in_lockstep(process: Process, trials: int) -> bool:
     step costs about 8 µs of numpy calls however few trials are live,
     and a chain's own step about 2 µs a trial, so chains with a few
     trials stay on the loop; an EA step on a bit string costs the loop
-    more than the whole lockstep step."""
+    more than the whole lockstep step.  A UniformPick walk has no
+    lockstep walker yet and takes the loop."""
     law = process.step_law
     if isinstance(law, KernelDraw):
         return trials > _FEW_TRIALS
-    return law is not None
+    return isinstance(law, LeadingOnesEA)
 
 
 def _chunk_trials(width: int) -> int:

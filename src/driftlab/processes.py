@@ -7,10 +7,12 @@ admits a tractable exact transition kernel carries one, so that the
 oracle module can solve for expected hitting times without sampling.
 """
 
+import inspect
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 from math import comb
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,6 +46,20 @@ class LeadingOnesEA:
     distance: Callable[[State], float]
 
 
+@dataclass(frozen=True, eq=False)
+class UniformPick:
+    """step picks one of groups(state) uniformly, then one entry of that
+    group uniformly, and returns move(state, entry).  Its draws are
+    rng.integers(len(groups)), left out when there is one group (numpy's
+    integers(1) draws nothing), then rng.integers(len(group)); with no
+    groups the state stays and nothing is drawn.  The exact kernel gives
+    each entry mass 1/(len(groups)·len(group)), summed per successor in
+    pick order."""
+
+    groups: Callable[[State], Sequence[Sequence]]
+    move: Callable[[State, Any], State]
+
+
 @dataclass(frozen=True)
 class Process:
     """A sampleable stochastic process with a scalar view and a target.
@@ -64,11 +80,14 @@ class Process:
         Exact one-step distribution; present when tractable.
     initial_support : tuple of (state, prob), optional
         Explicit initial distribution, needed for exact solving.
-    step_law : KernelDraw or LeadingOnesEA, optional
-        How step uses its randomness, so that montecarlo can step many
-        trials at once with the same draws; None means only step itself
-        says, and simulation calls it trial by trial.  lift keeps it; a
-        process given another step must drop it.
+    step_law : KernelDraw, LeadingOnesEA or UniformPick, optional
+        How step uses its randomness.  montecarlo steps many trials at
+        once with the same draws for KernelDraw (simple and distance
+        chains) and LeadingOnesEA; a UniformPick walk (recolour, vertex
+        cover, 2-SAT, sorting, RLS on bit strings) gets both step and
+        exact_kernel from its law and is stepped trial by trial, as is
+        None, where only step itself says.  lift keeps it; a process
+        given another step must drop it.
     """
 
     name: str
@@ -78,7 +97,7 @@ class Process:
     is_target: Callable[[State], bool]
     exact_kernel: Optional[Kernel] = None
     initial_support: Optional[tuple[tuple[State, float], ...]] = None
-    step_law: Union[KernelDraw, LeadingOnesEA, None] = None
+    step_law: Union[KernelDraw, LeadingOnesEA, UniformPick, None] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,6 +240,57 @@ def _chain_process(name, kernel_map, start_pairs, value, is_target) -> Process:
     )
 
 
+def _pick_step(law: UniformPick, state, rng):
+    groups = law.groups(state)
+    if not groups:
+        return state
+    group = groups[int(rng.integers(len(groups)))] if len(groups) > 1 else groups[0]
+    return law.move(state, group[int(rng.integers(len(group)))])
+
+
+def _pick_kernel(law: UniformPick, state):
+    groups = law.groups(state)
+    if not groups:
+        return [(state, 1.0)]
+    row: dict = {}
+    for group in groups:
+        p = 1.0 / (len(groups) * len(group))
+        for entry in group:
+            succ = law.move(state, entry)
+            row[succ] = row.get(succ, 0.0) + p
+    return list(row.items())
+
+
+def _pick_process(name, law: UniformPick, sample_initial, value, is_target,
+                  initial_support=None) -> Process:
+    """Assemble a Process whose step and exact kernel both follow law."""
+    return Process(
+        name=name,
+        sample_initial=sample_initial,
+        step=lambda state, rng: _pick_step(law, state, rng),
+        value=value,
+        is_target=is_target,
+        exact_kernel=lambda state: _pick_kernel(law, state),
+        initial_support=initial_support,
+        step_law=law,
+    )
+
+
+def _uniform_bits(n: int, values: tuple):
+    """(sample_initial, support) of a uniform string of n entries drawn
+    from the two values: one rng.integers(0, 2, size=n) per start.  The
+    support is enumerated only where that is sensible, for n <= 12;
+    larger instances rely on sampling and get None."""
+
+    def sample_initial(rng):
+        return tuple(values[b] for b in rng.integers(0, 2, size=n).tolist())
+
+    if n > 12:
+        return sample_initial, None
+    prob = 0.5**n
+    return sample_initial, tuple((bits, prob) for bits in product(values, repeat=n))
+
+
 # ---------------------------------------------------------------------------
 # Simple chain catalog
 # ---------------------------------------------------------------------------
@@ -232,16 +302,25 @@ def make_simple_chain(kind: str, **params) -> Process:
     winning_streak(k), gamblers_ruin(n), fair_walk_reflecting(n),
     rumor(n).  States are integers; value is the natural distance to the
     target (missing coupons, remaining streak, coins to a barrier,
-    uninformed people).
+    uninformed people).  A key the kind does not take, or a missing
+    one, is an error naming it.
     """
     if kind not in _SIMPLE_CHAINS:
         raise ParameterError(
             f"unknown chain kind {kind!r}; expected one of {sorted(_SIMPLE_CHAINS)}"
         )
+    builder = _SIMPLE_CHAINS[kind]
+    keys = inspect.signature(builder).parameters
+    for key in params:
+        if key not in keys:
+            raise ParameterError(f"{kind} takes no parameter {key!r}; it takes {', '.join(keys)}")
+    for key in keys:
+        if key not in params:
+            raise ParameterError(f"{kind} needs parameter {key!r}")
     for key in ("n", "k"):
         if key in params:
             params[key] = _whole(kind, key, params[key])
-    return _SIMPLE_CHAINS[kind](**params)
+    return builder(**params)
 
 
 def _coupon(n: int) -> Process:
@@ -474,16 +553,18 @@ def make_ea_process(
     """
     if algorithm not in ("RLS", "OnePlusOneEA"):
         raise ParameterError(f"unknown algorithm {algorithm!r}")
+    spec = f"{algorithm}-{objective}"
     if objective == "linear":
         if weights is None:
             raise ParameterError("linear objective requires weights")
         weights = tuple(float(w) for w in weights)
+        if n is not None and _whole(spec, "n", n) != len(weights):
+            raise ParameterError(f"{spec} has n={n} but {len(weights)} weights")
         n = len(weights)
         if any(w <= 0 for w in weights):
             raise ParameterError("linear weights must be positive")
         if any(weights[i] <= weights[i + 1] for i in range(n - 1)):
             raise ParameterError("linear weights must be strictly decreasing")
-    spec = f"{algorithm}-{objective}"
     if algorithm == "RLS" and mutation_rate is not None:
         raise ParameterError(f"{spec} takes no mutation rate; RLS flips exactly one bit")
     if objective != "plateau" and k is not None:
@@ -549,48 +630,27 @@ def make_ea_process(
             return float(sum(w for w, b in zip(weights, bits) if not b))
 
     optimum = (1,) * n
-    law = None
-
-    def is_target(bits):
-        return bits == optimum
+    is_target = lambda bits: bits == optimum
+    sample_initial, support = _uniform_bits(n, (0, 1))
 
     if algorithm == "RLS":
-        def kernel(bits):
-            f_cur = fitness_bits(bits)
-            row: dict[tuple, float] = {}
-            for i in range(n):
-                cand = _bit_flip(bits, i)
-                succ = cand if fitness_bits(cand) >= f_cur else bits
-                row[succ] = row.get(succ, 0.0) + 1.0 / n
-            return list(row.items())
+        every_bit = (range(n),)
 
-        def step(bits, rng):
-            i = int(rng.integers(n))
+        def flip(bits, i):
             cand = _bit_flip(bits, i)
             return cand if fitness_bits(cand) >= fitness_bits(bits) else bits
-    else:
-        kernel = None
 
-        def step(bits, rng):
-            mask = rng.random(n) < p
-            if not mask.any():
-                return bits
-            cand = tuple(int(b) ^ int(m) for b, m in zip(bits, mask))
-            return cand if fitness_bits(cand) >= fitness_bits(bits) else bits
+        return _pick_process(
+            name, UniformPick(lambda bits: every_bit, flip),
+            sample_initial, value, is_target, support,
+        )
 
-        if objective == "leadingones":
-            law = LeadingOnesEA(n, p, value)
-
-    def sample_initial(rng):
-        return tuple(int(b) for b in rng.integers(0, 2, size=n))
-
-    # enumerating the uniform start distribution is only sensible for
-    # small n; larger instances rely on sampling
-    support = None
-    if n <= 12:
-        from itertools import product
-        prob = 0.5**n
-        support = tuple((bits, prob) for bits in product((0, 1), repeat=n))
+    def step(bits, rng):
+        mask = rng.random(n) < p
+        if not mask.any():
+            return bits
+        cand = tuple(int(b) ^ int(m) for b, m in zip(bits, mask))
+        return cand if fitness_bits(cand) >= fitness_bits(bits) else bits
 
     return Process(
         name=name,
@@ -598,9 +658,8 @@ def make_ea_process(
         step=step,
         value=value,
         is_target=is_target,
-        exact_kernel=kernel,
         initial_support=support,
-        step_law=law,
+        step_law=LeadingOnesEA(n, p, value) if objective == "leadingones" else None,
     )
 
 
@@ -673,37 +732,9 @@ def _make_recolour(instance: GraphInstance) -> Process:
         # every triangle has one vertex in each planted class
         return not mono(coloring)
 
-    def kernel(coloring):
-        ms = mono(coloring)
-        if not ms or is_target(coloring):
-            return [(coloring, 1.0)]
-        row: dict[tuple, float] = {}
-        p = 1.0 / (3 * len(ms))
-        for t in ms:
-            for v in t:
-                succ = coloring[:v] + (1 - coloring[v],) + coloring[v + 1:]
-                row[succ] = row.get(succ, 0.0) + p
-        return list(row.items())
-
-    def step(coloring, rng):
-        ms = mono(coloring)
-        if not ms:
-            return coloring
-        t = ms[int(rng.integers(len(ms)))]
-        v = t[int(rng.integers(3))]
-        return coloring[:v] + (1 - coloring[v],) + coloring[v + 1:]
-
-    def sample_initial(rng):
-        return tuple(int(b) for b in rng.integers(0, 2, size=n))
-
-    return Process(
-        name=f"recolour(n={n})",
-        sample_initial=sample_initial,
-        step=step,
-        value=value,
-        is_target=is_target,
-        exact_kernel=kernel,
-        initial_support=None,
+    sample_initial, _ = _uniform_bits(n, (0, 1))
+    return _pick_process(
+        f"recolour(n={n})", UniformPick(mono, _bit_flip), sample_initial, value, is_target,
     )
 
 
@@ -713,49 +744,24 @@ def _make_vertex_cover(instance: GraphInstance) -> Process:
     cover = instance.cover
     edges = instance.edges
 
-    def uncovered(chosen):
+    def uncovered(state):
+        chosen = state[1]
         return [e for e in edges if e[0] not in chosen and e[1] not in chosen]
 
     def value(state):
-        count, chosen = state
-        if not uncovered(chosen):
-            return 0.0
-        return float(len(cover - chosen))
+        return float(len(cover - state[1])) if uncovered(state) else 0.0
 
     def is_target(state):
-        return not uncovered(state[1])
+        return not uncovered(state)
 
-    def kernel(state):
+    def add(state, v):
         count, chosen = state
-        unc = uncovered(chosen)
-        if not unc:
-            return [(state, 1.0)]
-        row: dict = {}
-        p = 1.0 / (2 * len(unc))
-        for e in unc:
-            for v in e:
-                succ = (count + 1, chosen | {v})
-                row[succ] = row.get(succ, 0.0) + p
-        return list(row.items())
-
-    def step(state, rng):
-        count, chosen = state
-        unc = uncovered(chosen)
-        if not unc:
-            return state
-        e = unc[int(rng.integers(len(unc)))]
-        v = e[int(rng.integers(2))]
         return (count + 1, chosen | {v})
 
     start = (0, frozenset())
-    return Process(
-        name=f"vertex_cover(n={instance.n})",
-        sample_initial=lambda rng: start,
-        step=step,
-        value=value,
-        is_target=is_target,
-        exact_kernel=kernel,
-        initial_support=((start, 1.0),),
+    return _pick_process(
+        f"vertex_cover(n={instance.n})", UniformPick(uncovered, add),
+        lambda rng: start, value, is_target, ((start, 1.0),),
     )
 
 
@@ -771,56 +777,27 @@ def make_two_sat_process(instance: CnfInstance) -> Process:
     clauses = instance.clauses
     planted = instance.assignment
 
-    def first_unsat(assignment):
+    def unsat_variables(assignment):
+        # the variables of the first unsatisfied clause, as one group
         for clause in clauses:
             if not _clause_satisfied(clause, assignment):
-                return clause
-        return None
+                return ((clause[0][0], clause[1][0]),)
+        return ()
 
     def value(assignment):
         agree = sum(1 for a, b in zip(assignment, planted) if a == b)
         return float(n - agree)
 
     def is_target(assignment):
-        return first_unsat(assignment) is None
+        return not unsat_variables(assignment)
 
     def flip(assignment, var):
         return assignment[:var] + (not assignment[var],) + assignment[var + 1:]
 
-    def kernel(assignment):
-        clause = first_unsat(assignment)
-        if clause is None:
-            return [(assignment, 1.0)]
-        row: dict = {}
-        for (var, _) in clause:
-            succ = flip(assignment, var)
-            row[succ] = row.get(succ, 0.0) + 0.5
-        return list(row.items())
-
-    def step(assignment, rng):
-        clause = first_unsat(assignment)
-        if clause is None:
-            return assignment
-        var = clause[int(rng.integers(2))][0]
-        return flip(assignment, var)
-
-    def sample_initial(rng):
-        return tuple(bool(b) for b in rng.integers(0, 2, size=n))
-
-    support = None
-    if n <= 12:
-        from itertools import product
-        prob = 0.5**n
-        support = tuple((bits, prob) for bits in product((False, True), repeat=n))
-
-    return Process(
-        name=f"two_sat(n={n},m={len(clauses)})",
-        sample_initial=sample_initial,
-        step=step,
-        value=value,
-        is_target=is_target,
-        exact_kernel=kernel,
-        initial_support=support,
+    sample_initial, support = _uniform_bits(n, (False, True))
+    return _pick_process(
+        f"two_sat(n={n},m={len(clauses)})", UniformPick(unsat_variables, flip),
+        sample_initial, value, is_target, support,
     )
 
 
@@ -834,41 +811,23 @@ def make_sorting_process(n: int, start: tuple) -> Process:
         raise ParameterError("start must be a permutation of [n]")
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    n_pairs = len(pairs)
+    every_pair = (pairs,)
 
     def inversions(perm):
-        return sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
+        return sum(1 for i, j in pairs if perm[i] > perm[j])
 
-    def swap(perm, i, j):
+    def swap_inversion(perm, pair):
+        i, j = pair
+        if perm[i] <= perm[j]:
+            return perm
         lst = list(perm)
         lst[i], lst[j] = lst[j], lst[i]
         return tuple(lst)
 
-    def kernel(perm):
-        row: dict = {}
-        p = 1.0 / n_pairs
-        for (i, j) in pairs:
-            succ = swap(perm, i, j) if perm[i] > perm[j] else perm
-            row[succ] = row.get(succ, 0.0) + p
-        return list(row.items())
-
-    def step(perm, rng):
-        idx = int(rng.integers(n_pairs))
-        i, j = pairs[idx]
-        if perm[i] > perm[j]:
-            return swap(perm, i, j)
-        return perm
-
-    return Process(
-        name=f"sorting(n={n})",
-        sample_initial=lambda rng: start,
-        step=step,
-        value=lambda perm: float(inversions(perm)),
-        is_target=lambda perm: inversions(perm) == 0,
-        exact_kernel=kernel,
-        initial_support=((start, 1.0),),
+    return _pick_process(
+        f"sorting(n={n})", UniformPick(lambda perm: every_pair, swap_inversion),
+        lambda rng: start, lambda perm: float(inversions(perm)),
+        lambda perm: inversions(perm) == 0, ((start, 1.0),),
     )
 
 

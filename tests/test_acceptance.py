@@ -3,14 +3,23 @@
 Each criterion cross-checks a bound calculator against the exact
 oracle and/or a seeded simulation; the test passes only when the
 resulting verdict is "holds" and every checked precondition passed.
+Its report line must also equal the stored one byte for byte, so that
+a change meant to keep every seeded number cannot move one.
 """
+
+from pathlib import Path
 
 import pytest
 
 from driftlab import acceptance
-from driftlab.report import HOLDS
+from driftlab.cli import main
+from driftlab.report import HOLDS, rows_to_csv
 
 _SEED = 0
+_DATA = Path(__file__).parent / "data"
+# `drift suite paper_acceptance --seed 0`: a header, then one line per
+# criterion in CRITERIA order
+_GOLDEN = (_DATA / "paper_acceptance_seed0.csv").read_text().splitlines()
 
 
 @pytest.mark.parametrize("criterion", list(acceptance.CRITERIA))
@@ -21,3 +30,14 @@ def test_criterion(criterion):
         f"(bound {row.bound!r}, oracle {row.oracle!r}, "
         f"sim_mean {row.sim_mean!r}, preconditions {row.preconditions!r})"
     )
+    line = rows_to_csv([row]).splitlines()[1]
+    assert line == _GOLDEN[1 + list(acceptance.CRITERIA).index(criterion)]
+
+
+def test_golden_report_covers_every_criterion():
+    assert len(_GOLDEN) == 1 + len(acceptance.CRITERIA)
+
+
+def test_suite_quick_output_is_byte_identical(capsys):
+    assert main(["suite", "quick", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (_DATA / "suite_quick_seed3.csv").read_text()

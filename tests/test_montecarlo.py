@@ -34,6 +34,7 @@ from driftlab.potentials import (
 from driftlab.processes import (
     KernelDraw,
     LeadingOnesEA,
+    UniformPick,
     _chain_process,
     make_ea_process,
     make_graph_process,
@@ -429,7 +430,7 @@ def test_lockstep_walker_takes_the_processes_its_step_law_describes():
             assert type(process.step_law) is law, name
             assert _reference_steps(process, _FEW_TRIALS + 1) == 0, name
     for name, process in loop.items():
-        assert process.step_law is None, name
+        assert type(process.step_law) is UniformPick, name
         assert _reference_steps(process, _FEW_TRIALS + 1) > 0, name
     # a chain's own step is cheaper than a lockstep step of a few trials;
     # the EA's step on a bit string is not

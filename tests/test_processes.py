@@ -1,5 +1,6 @@
 """Process catalog: kernels, chains, instances and serialization."""
 
+import copy
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from driftlab.montecarlo import trial_rng
 from driftlab.processes import (
     CnfInstance,
     GraphInstance,
+    UniformPick,
     make_ea_process,
     make_graph_process,
     make_simple_chain,
@@ -73,6 +75,18 @@ def test_unknown_kind_rejected():
         make_simple_chain("no_such_chain", n=3)
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"n": 5, "m": 5}, "coupon takes no parameter 'm'; it takes n$"),
+        ({}, "coupon needs parameter 'n'$"),
+    ],
+)
+def test_simple_chain_names_a_key_its_kind_does_not_take(params, message):
+    with pytest.raises(errors.ParameterError, match=message):
+        make_simple_chain("coupon", **params)
+
+
 def test_reflecting_walk_moves_surely_from_origin():
     proc = make_simple_chain("fair_walk_reflecting", n=6)
     assert proc.exact_kernel(0) == [(1, 1.0)]
@@ -112,6 +126,9 @@ def test_linear_objective_validates_weights():
         make_ea_process("RLS", "linear", weights=(2.0, -1.0))
     proc = make_ea_process("RLS", "linear", weights=(3.0, 2.0, 1.0))
     assert proc.value((1, 1, 1)) == 0.0
+    assert make_ea_process("RLS", "linear", n=3, weights=(3, 2, 1)).name == proc.name
+    with pytest.raises(errors.ParameterError, match="n=7 but 3 weights"):
+        make_ea_process("RLS", "linear", n=7, weights=(3, 2, 1))
 
 
 @pytest.mark.parametrize(
@@ -138,6 +155,73 @@ def test_sorting_inversions_never_increase():
         assert now <= last
         last = now
     assert proc.is_target(tuple(sorted(start)))
+
+
+_PICK_WALKS = {
+    "two_sat": lambda: make_two_sat_process(processes.planted_2sat(8, 16, seed=3)),
+    "recolour": lambda: make_graph_process(
+        "recolour", processes.random_3colorable_graph(9, 0.6, seed=1)
+    ),
+    "sorting": lambda: make_sorting_process(5, (5, 4, 3, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PICK_WALKS))
+def test_pick_walk_step_and_kernel_follow_its_law(name):
+    # step makes exactly the documented integers calls and moves to the
+    # entry they pick; the kernel gives each entry 1/(groups * group)
+    # mass, summed per successor in pick order
+    proc = _PICK_WALKS[name]()
+    law = proc.step_law
+    assert type(law) is UniformPick
+    several_groups = 0
+    for trial in range(20):
+        rng = trial_rng(13, trial)
+        state = proc.sample_initial(rng)
+        for _ in range(25):
+            if proc.is_target(state):
+                break
+            groups = law.groups(state)
+            several_groups += len(groups) > 1
+            row = {}
+            for group in groups:
+                for entry in group:
+                    succ = law.move(state, entry)
+                    row[succ] = row.get(succ, 0.0) + 1.0 / (len(groups) * len(group))
+            assert proc.exact_kernel(state) == list(row.items())
+            clone = copy.deepcopy(rng)
+            group = groups[int(clone.integers(len(groups)))] if len(groups) > 1 else groups[0]
+            want = law.move(state, group[int(clone.integers(len(group)))])
+            succ = proc.step(state, rng)
+            assert succ == want
+            assert rng.bit_generator.state == clone.bit_generator.state
+            assert dict(proc.exact_kernel(state))[succ] > 0
+            state = succ
+    assert (several_groups > 0) == (name == "recolour")
+
+
+def test_sorting_row_is_the_hand_enumeration_over_pairs():
+    # pairs in order (0,1) (0,2) (0,3) (1,2) (1,3) (2,3); the inversions
+    # of (2, 4, 1, 3) are at (0,2), (1,2) and (1,3)
+    proc = make_sorting_process(4, (2, 4, 1, 3))
+    sixth = 1.0 / 6
+    assert proc.exact_kernel((2, 4, 1, 3)) == [
+        ((2, 4, 1, 3), sixth + sixth + sixth),
+        ((1, 4, 2, 3), sixth),
+        ((2, 1, 4, 3), sixth),
+        ((2, 3, 1, 4), sixth),
+    ]
+
+
+def test_pick_walk_without_groups_stays_and_draws_nothing():
+    inst = GraphInstance(n=3, edges=((0, 1), (1, 2)), cover=frozenset({1}))
+    proc = make_graph_process("vertex_cover", inst)
+    state = (1, frozenset({1}))
+    rng = trial_rng(0, 0)
+    before = rng.bit_generator.state
+    assert proc.step(state, rng) == state
+    assert rng.bit_generator.state == before
+    assert proc.exact_kernel(state) == [(state, 1.0)]
 
 
 def test_graph_instance_rejects_improper_coloring():
