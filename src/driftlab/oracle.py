@@ -10,14 +10,11 @@ from math import exp, inf, log
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import MonotonicityError, ParameterError, StructureError
 from .processes import FiniteChain
-
-_DENSE_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -61,38 +58,40 @@ def _check_absorption(chain: FiniteChain) -> None:
         )
 
 
+def _solve_transient(kernel: np.ndarray, keep: np.ndarray, b: np.ndarray):
+    """Solve (I - Q) x = b, Q the kernel on the states in the mask keep,
+    by one sparse LU (minimum-degree ordering on A^T + A) at any size.
+    Returns x and the max-norm residual; a singular A is a StructureError."""
+    n, m = len(keep), int(keep.sum())
+    pos = np.cumsum(keep) - 1
+    r, c = np.nonzero(kernel)
+    inside = keep[r] & keep[c]
+    # A's pattern in row-major order: Q's nonzeros and the diagonal
+    key = np.union1d(r[inside] * n + c[inside], np.flatnonzero(keep) * (n + 1))
+    r, c = np.divmod(key, n)
+    indptr = np.searchsorted(pos[r], np.arange(m + 1))
+    a = scipy.sparse.csr_array(((r == c) - kernel[r, c], pos[c], indptr), shape=(m, m))
+    x = scipy.sparse.linalg.spsolve(a, b, permc_spec="MMD_AT_PLUS_A")
+    residual = float(np.max(np.abs(a @ x - b)))
+    if not np.isfinite(residual):
+        raise StructureError("singular system: a kept state never leaves the kept states")
+    return x, residual
+
+
 def hitting_time_exact(chain: FiniteChain) -> HittingTimeSolution:
-    """Solve (I - Q) t = 1 on the non-target states of a finite chain.
-
-    Dense partial-pivot elimination up to a size threshold, sparse
-    direct solve above it; the residual is recomputed either way.
-    """
+    """Solve (I - Q) t = 1 on the non-target states of a finite chain,
+    by the one sparse LU of _solve_transient at every chain size."""
     _check_absorption(chain)
-    n = len(chain.states)
-    non_target = [i for i in range(n) if i not in chain.targets]
-    if not non_target:
-        per_state = {s: 0.0 for s in chain.states}
-        return HittingTimeSolution(per_state=per_state, from_start=0.0, residual=0.0)
-
-    q = chain.kernel[np.ix_(non_target, non_target)]
-    ones = np.ones(len(non_target))
-    if len(non_target) <= _DENSE_LIMIT:
-        a = np.eye(len(non_target)) - q
-        t = scipy.linalg.solve(a, ones)
-        residual = float(np.max(np.abs(a @ t - ones)))
-    else:
-        a = scipy.sparse.eye(len(non_target), format="csc") - scipy.sparse.csc_matrix(q)
-        t = scipy.sparse.linalg.spsolve(a, ones)
-        residual = float(np.max(np.abs(a @ t - ones)))
-
-    per_state = {s: 0.0 for s in chain.states}
-    for idx, i in enumerate(non_target):
-        per_state[chain.states[i]] = float(t[idx])
-    from_start = float(
-        sum(chain.start[i] * per_state[chain.states[i]] for i in range(n))
-    )
+    keep = np.ones(len(chain.states), dtype=bool)
+    keep[list(chain.targets)] = False
+    t = np.zeros(len(chain.states))
+    residual = 0.0
+    if keep.any():
+        t[keep], residual = _solve_transient(chain.kernel, keep, np.ones(int(keep.sum())))
     return HittingTimeSolution(
-        per_state=per_state, from_start=from_start, residual=residual
+        per_state=dict(zip(chain.states, t.tolist())),
+        from_start=float(sum(p * x for p, x in zip(chain.start, t.tolist()))),
+        residual=residual,
     )
 
 
@@ -244,27 +243,23 @@ def visit_probabilities_exact(chain: FiniteChain, levels) -> dict:
 
     n = len(chain.states)
     lv = np.array([level_of(s) for s in chain.states])
-    support = chain.kernel > 0.0
-    for i in range(n):
-        for j in np.nonzero(support[i])[0]:
-            if lv[j] < lv[i] and i != j:
-                raise MonotonicityError(
-                    "level decreases along transition "
-                    f"{chain.states[i]!r} -> {chain.states[j]!r}",
-                    offender=(chain.states[i], chain.states[j]),
-                )
+    r, c = np.nonzero(chain.kernel)
+    down = np.nonzero(lv[c] < lv[r])[0]
+    if down.size:
+        i, j = chain.states[r[down[0]]], chain.states[c[down[0]]]
+        raise MonotonicityError(
+            f"level decreases along transition {i!r} -> {j!r}", offender=(i, j)
+        )
 
     result = {}
     for level in sorted(set(int(x) for x in lv)):
-        below = np.nonzero(lv < level)[0]
+        below = lv < level
         at = lv == level
         # probability of ever entering the level, starting below it
         h = np.zeros(n)
         h[at] = 1.0
-        if below.size:
-            q = chain.kernel[np.ix_(below, below)]
+        if below.any():
             b = chain.kernel[below][:, at].sum(axis=1)
-            sol = scipy.linalg.solve(np.eye(below.size) - q, b)
-            h[below] = sol
+            h[below], _ = _solve_transient(chain.kernel, below, b)
         result[level] = float(np.dot(chain.start, h))
     return result

@@ -118,6 +118,11 @@ class FiniteChain:
         n = len(self.states)
         if self.kernel.shape != (n, n):
             raise StructureError("kernel shape does not match state count")
+        for what, probs in (("kernel entry", self.kernel), ("start probability", self.start)):
+            neg = np.nonzero(probs < 0.0)[0]
+            if neg.size:
+                state = self.states[int(neg[0])]
+                raise StructureError(f"negative {what} at state {state!r}", offender=state)
         rows = self.kernel.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-12:
             bad = int(np.argmax(np.abs(rows - 1.0)))

@@ -19,6 +19,7 @@ from driftlab.oracle import (
 from driftlab.processes import (
     FiniteChain,
     _chain_process,
+    make_ea_process,
     make_simple_chain,
     to_finite_chain,
 )
@@ -34,10 +35,12 @@ def test_winning_streak_closed_form(k):
     assert sol.from_start == pytest.approx(2.0 ** (k + 1) - 2.0, rel=1e-9)
 
 
-@pytest.mark.parametrize("n", [2, 5, 12, 30])
+# n=1001 has 2001 non-target states
+@pytest.mark.parametrize("n", [2, 5, 12, 30, 1001])
 def test_fair_walk_two_barriers_is_n_squared(n):
     sol = _solve(make_simple_chain("gamblers_ruin", n=n))
     assert sol.from_start == pytest.approx(float(n * n), rel=1e-9)
+    assert sol.residual <= 1e-8
 
 
 @pytest.mark.parametrize("n", [1, 3, 10, 50])
@@ -219,8 +222,66 @@ def test_coupon_visits_every_level():
 
 def test_visit_probabilities_reject_decreasing_levels():
     chain = to_finite_chain(make_simple_chain("gamblers_ruin", n=4))
-    with pytest.raises(errors.MonotonicityError):
+    with pytest.raises(errors.MonotonicityError) as exc:
         visit_probabilities_exact(chain, lambda s: s)
+    assert exc.value.offender == (4, 3)
+
+
+def test_visit_probabilities_name_the_first_decreasing_edge_in_row_order():
+    # rows hold states 4, 3, 5, 2, 6, ...; row 0 never decreases, and
+    # 3 -> 4 (row 1) comes before 5 -> 4, 2 -> 3, ...
+    chain = to_finite_chain(make_simple_chain("gamblers_ruin", n=4))
+    with pytest.raises(errors.MonotonicityError) as exc:
+        visit_probabilities_exact(chain, lambda s: abs(s - 4))
+    assert exc.value.offender == (3, 4)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_visit_probabilities_reject_a_state_trapped_below_a_level():
+    # state 0 (level 1) is absorbing, so the system below level 2 is singular
+    chain = FiniteChain(
+        states=(0, 1, 2),
+        kernel=np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]),
+        start=np.array([0.0, 1.0, 0.0]),
+        targets=frozenset({0, 2}),
+    )
+    with pytest.raises(errors.StructureError):
+        visit_probabilities_exact(chain, {1: 0, 0: 1, 2: 2})
+
+
+def test_rls_leadingones_visits_each_level_below_the_top_with_probability_half():
+    n = 8
+    chain = to_finite_chain(make_ea_process("RLS", "leadingones", n=n))
+    leading_ones = lambda bits: next((i for i, b in enumerate(bits) if b != 1), n)
+    visits = visit_probabilities_exact(chain, leading_ones)
+    assert sorted(visits) == list(range(n + 1))
+    for level in range(n):
+        assert visits[level] == pytest.approx(0.5, abs=1e-12)
+    assert visits[n] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_finite_chain_rejects_a_negative_kernel_entry():
+    kernel = np.array([[1.0, 0.0, 0.0], [0.75, -0.25, 0.5], [0.0, 0.0, 1.0]])
+    with pytest.raises(errors.StructureError) as exc:
+        FiniteChain(
+            states=(0, 1, 2),
+            kernel=kernel,
+            start=np.array([0.0, 1.0, 0.0]),
+            targets=frozenset({0, 2}),
+        )
+    assert exc.value.offender == 1
+
+
+def test_finite_chain_rejects_a_negative_start_probability():
+    kernel = np.array([[1.0, 0.0], [0.5, 0.5]])
+    with pytest.raises(errors.StructureError) as exc:
+        FiniteChain(
+            states=(0, 1),
+            kernel=kernel,
+            start=np.array([1.5, -0.5]),
+            targets=frozenset({0}),
+        )
+    assert exc.value.offender == 1
 
 
 def test_all_target_chain_has_zero_time():
