@@ -32,45 +32,44 @@ class HittingTimeSolution:
     residual: float
 
 
-def _check_absorption(chain: FiniteChain) -> None:
-    """Every state must reach a target with probability 1.
+def _rows_of(kernel) -> np.ndarray:
+    """The row of each stored entry of a CSR kernel."""
+    return np.repeat(np.arange(kernel.shape[0]), np.diff(kernel.indptr))
 
-    Reachability of the target set is checked by reverse traversal on
-    the kernel's support graph; unreachable states are named.
-    """
-    n = len(chain.states)
-    support = chain.kernel > 0.0
-    reached = np.zeros(n, dtype=bool)
-    stack = list(chain.targets)
-    for t in stack:
-        reached[t] = True
+
+def _reaching(kernel, seeds: np.ndarray) -> np.ndarray:
+    """Mask of the states from which the kernel's pattern leads into the
+    mask seeds (seeds included), by reverse traversal of its entries."""
+    by_col = np.argsort(kernel.indices)
+    entering = _rows_of(kernel)[by_col].tolist()
+    ptr = np.searchsorted(kernel.indices[by_col], np.arange(len(seeds) + 1)).tolist()
+    reached = seeds.tolist()
+    stack = np.flatnonzero(seeds).tolist()
     while stack:
         j = stack.pop()
-        for i in np.nonzero(support[:, j])[0]:
+        for i in entering[ptr[j]:ptr[j + 1]]:
             if not reached[i]:
                 reached[i] = True
-                stack.append(int(i))
-    bad = np.nonzero(~reached)[0]
-    if bad.size:
-        state = chain.states[int(bad[0])]
-        raise StructureError(
-            f"no target reachable from state {state!r}", offender=state
-        )
+                stack.append(i)
+    return np.array(reached, dtype=bool)
 
 
-def _solve_transient(kernel: np.ndarray, keep: np.ndarray, b: np.ndarray):
-    """Solve (I - Q) x = b, Q the kernel on the states in the mask keep,
+def _solve_transient(kernel, keep: np.ndarray, b: np.ndarray):
+    """Solve (I - Q) x = b, Q the CSR kernel on the states in the mask keep,
     by one sparse LU (minimum-degree ordering on A^T + A) at any size.
     Returns x and the max-norm residual; a singular A is a StructureError."""
     n, m = len(keep), int(keep.sum())
     pos = np.cumsum(keep) - 1
-    r, c = np.nonzero(kernel)
+    r, c = _rows_of(kernel), kernel.indices
     inside = keep[r] & keep[c]
+    q_key = r[inside] * n + c[inside]
     # A's pattern in row-major order: Q's nonzeros and the diagonal
-    key = np.union1d(r[inside] * n + c[inside], np.flatnonzero(keep) * (n + 1))
+    key = np.union1d(q_key, np.flatnonzero(keep) * (n + 1))
+    q = np.zeros(key.size)
+    q[np.searchsorted(key, q_key)] = kernel.data[inside]
     r, c = np.divmod(key, n)
     indptr = np.searchsorted(pos[r], np.arange(m + 1))
-    a = scipy.sparse.csr_array(((r == c) - kernel[r, c], pos[c], indptr), shape=(m, m))
+    a = scipy.sparse.csr_array(((r == c) - q, pos[c], indptr), shape=(m, m))
     x = scipy.sparse.linalg.spsolve(a, b, permc_spec="MMD_AT_PLUS_A")
     residual = float(np.max(np.abs(a @ x - b)))
     if not np.isfinite(residual):
@@ -79,11 +78,14 @@ def _solve_transient(kernel: np.ndarray, keep: np.ndarray, b: np.ndarray):
 
 
 def hitting_time_exact(chain: FiniteChain) -> HittingTimeSolution:
-    """Solve (I - Q) t = 1 on the non-target states of a finite chain,
-    by the one sparse LU of _solve_transient at every chain size."""
-    _check_absorption(chain)
+    """Solve (I - Q) t = 1 on the non-target states of a finite chain by
+    _solve_transient; the lowest-index state reaching no target is named."""
     keep = np.ones(len(chain.states), dtype=bool)
     keep[list(chain.targets)] = False
+    stranded = np.flatnonzero(~_reaching(chain.kernel, ~keep))
+    if stranded.size:
+        state = chain.states[int(stranded[0])]
+        raise StructureError(f"no target reachable from state {state!r}", offender=state)
     t = np.zeros(len(chain.states))
     residual = 0.0
     if keep.any():
@@ -212,9 +214,10 @@ def leadingones_fixed_budget_exact(n: int, p: float, t: int) -> float:
     if int(t) != t or t < 0:
         raise ParameterError("t must be a non-negative integer")
     chain = leadingones_level_chain(n, p)
+    kernel = chain.kernel.toarray()
     dist = chain.start
     for _ in range(int(t)):
-        dist = dist @ chain.kernel
+        dist = dist @ kernel
     return float(dist @ np.arange(n + 1))
 
 
@@ -231,9 +234,9 @@ def visit_probabilities_exact(chain: FiniteChain, levels) -> dict:
     levels maps chain states to integer levels and must be monotone
     non-decreasing along every positive-probability transition; the
     offending edge is named otherwise.  One absorption solve per
-    level: the chain restricted to levels below i is substochastic and
-    the probability of entering level i (rather than jumping past it)
-    solves a linear system over those states.
+    level, over the states below level i that can reach it: the chain
+    restricted to them is substochastic and the probability of entering
+    level i (rather than jumping past it) solves a linear system.
     """
     if callable(levels):
         level_of = levels
@@ -241,10 +244,9 @@ def visit_probabilities_exact(chain: FiniteChain, levels) -> dict:
         table = dict(levels)
         level_of = lambda s: table[s]
 
-    n = len(chain.states)
     lv = np.array([level_of(s) for s in chain.states])
-    r, c = np.nonzero(chain.kernel)
-    down = np.nonzero(lv[c] < lv[r])[0]
+    r, c = _rows_of(chain.kernel), chain.kernel.indices
+    down = np.flatnonzero(lv[c] < lv[r])
     if down.size:
         i, j = chain.states[r[down[0]]], chain.states[c[down[0]]]
         raise MonotonicityError(
@@ -253,13 +255,12 @@ def visit_probabilities_exact(chain: FiniteChain, levels) -> dict:
 
     result = {}
     for level in sorted(set(int(x) for x in lv)):
-        below = lv < level
         at = lv == level
-        # probability of ever entering the level, starting below it
-        h = np.zeros(n)
-        h[at] = 1.0
-        if below.any():
-            b = chain.kernel[below][:, at].sum(axis=1)
-            h[below], _ = _solve_transient(chain.kernel, below, b)
+        # probability of ever entering the level, from each state below
+        # it that can; every other state never enters it
+        keep = (lv < level) & _reaching(chain.kernel, at)
+        h = at.astype(float)
+        if keep.any():
+            h[keep], _ = _solve_transient(chain.kernel, keep, (chain.kernel @ h)[keep])
         result[level] = float(np.dot(chain.start, h))
     return result

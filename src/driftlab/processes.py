@@ -15,6 +15,7 @@ from math import comb
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse
 
 from .errors import CapacityError, ParameterError, StructureError, UnsupportedError
 
@@ -105,25 +106,38 @@ class FiniteChain:
     """Explicit finite-state chain with absorbing targets.
 
     states is an indexed list of (hashable) state labels, kernel a
-    row-stochastic matrix, start a probability vector over states and
-    targets the set of absorbing target indices.
+    row-stochastic matrix (kept as a canonical csr_array of its positive
+    entries; other 2-D input is converted on a copy), start a probability
+    vector over states and targets the set of absorbing target indices.
     """
 
     states: tuple
-    kernel: np.ndarray
+    kernel: scipy.sparse.csr_array
     start: np.ndarray
     targets: frozenset
 
     def __post_init__(self):
         n = len(self.states)
-        if self.kernel.shape != (n, n):
+        kernel = self.kernel
+        if kernel.shape != (n, n):
             raise StructureError("kernel shape does not match state count")
-        for what, probs in (("kernel entry", self.kernel), ("start probability", self.start)):
-            neg = np.nonzero(probs < 0.0)[0]
-            if neg.size:
-                state = self.states[int(neg[0])]
-                raise StructureError(f"negative {what} at state {state!r}", offender=state)
-        rows = self.kernel.sum(axis=1)
+        if not (isinstance(kernel, scipy.sparse.csr_array) and kernel.has_canonical_format
+                and kernel.data.all()):
+            kernel = scipy.sparse.csr_array(kernel, dtype=float, copy=True)
+            kernel.sum_duplicates()
+            kernel.eliminate_zeros()
+            object.__setattr__(self, "kernel", kernel)
+        if np.shape(self.start) != (n,):
+            raise StructureError(f"start vector has shape {np.shape(self.start)}, not ({n},)")
+        # entry k belongs to the state whose end is the first one past k
+        for what, probs, ends in (("kernel entry", kernel.data, kernel.indptr[1:]),
+                                  ("start probability", self.start, np.arange(1, n + 1))):
+            ok = (probs >= 0.0) & (probs < np.inf)
+            if not ok.all():
+                k = int(np.argmin(ok))
+                state = self.states[int(np.searchsorted(ends, k, "right"))]
+                raise StructureError(f"{what} at state {state!r} is {probs[k]!r}", offender=state)
+        rows = kernel @ np.ones(n)
         if np.max(np.abs(rows - 1.0)) > 1e-12:
             bad = int(np.argmax(np.abs(rows - 1.0)))
             raise StructureError(
@@ -131,8 +145,11 @@ class FiniteChain:
             )
         if abs(self.start.sum() - 1.0) > 1e-12:
             raise StructureError("start vector does not sum to 1")
-        for t in self.targets:
-            if abs(self.kernel[t, t] - 1.0) > 1e-12:
+        diagonal = kernel.diagonal()
+        for t in sorted(self.targets):
+            if not 0 <= t < n:
+                raise StructureError(f"target index {t} outside [0..{n - 1}]", offender=t)
+            if abs(diagonal[t] - 1.0) > 1e-12:
                 raise StructureError(
                     f"target state {self.states[t]!r} is not absorbing",
                     offender=self.states[t],
@@ -860,20 +877,18 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
             index[state] = len(order)
             order.append(state)
             queue.append(state)
-    rows: dict[int, list[tuple[int, float]]] = {}
+    entries: list[tuple[int, float]] = []
+    ends = [0]
+    # states are popped in index order, so their rows are appended in order
     while queue:
         state = queue.popleft()
-        i = index[state]
-        if process.is_target(state):
-            rows[i] = [(i, 1.0)]
-            continue
-        row = process.exact_kernel(state)
+        row = [(state, 1.0)] if process.is_target(state) else process.exact_kernel(state)
         total = sum(p for _, p in row)
         if abs(total - 1.0) > _KERNEL_TOL:
             raise StructureError(
                 f"kernel row at {state!r} sums to {total!r}", offender=state
             )
-        entries = []
+        row_sum: dict[int, float] = {}
         for succ, p in row:
             if p <= 0.0:
                 continue
@@ -886,14 +901,15 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
                 index[succ] = len(order)
                 order.append(succ)
                 queue.append(succ)
-            entries.append((index[succ], p))
-        rows[i] = entries
+            # a successor listed twice adds up in row order
+            row_sum[index[succ]] = row_sum.get(index[succ], 0.0) + p
+        entries += sorted(row_sum.items())
+        ends.append(len(entries))
 
     m = len(order)
-    kernel = np.zeros((m, m))
-    for i, entries in rows.items():
-        for j, p in entries:
-            kernel[i, j] += p
+    kernel = scipy.sparse.csr_array(
+        ([p for _, p in entries], [j for j, _ in entries], ends), shape=(m, m)
+    )
     start = np.zeros(m)
     for state, p in process.initial_support:
         start[index[state]] += p

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from driftlab import errors
@@ -236,17 +237,16 @@ def test_visit_probabilities_name_the_first_decreasing_edge_in_row_order():
     assert exc.value.offender == (3, 4)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
-def test_visit_probabilities_reject_a_state_trapped_below_a_level():
-    # state 0 (level 1) is absorbing, so the system below level 2 is singular
+def test_visit_probabilities_with_a_target_below_a_level():
+    # state 0 (level 1) is absorbing, so it never enters level 2: its h is 0
     chain = FiniteChain(
         states=(0, 1, 2),
         kernel=np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]),
         start=np.array([0.0, 1.0, 0.0]),
         targets=frozenset({0, 2}),
     )
-    with pytest.raises(errors.StructureError):
-        visit_probabilities_exact(chain, {1: 0, 0: 1, 2: 2})
+    visits = visit_probabilities_exact(chain, {1: 0, 0: 1, 2: 2})
+    assert visits == {0: 1.0, 1: 0.5, 2: 0.5}
 
 
 def test_rls_leadingones_visits_each_level_below_the_top_with_probability_half():
@@ -261,27 +261,112 @@ def test_rls_leadingones_visits_each_level_below_the_top_with_probability_half()
 
 
 def test_finite_chain_rejects_a_negative_kernel_entry():
-    kernel = np.array([[1.0, 0.0, 0.0], [0.75, -0.25, 0.5], [0.0, 0.0, 1.0]])
-    with pytest.raises(errors.StructureError) as exc:
-        FiniteChain(
-            states=(0, 1, 2),
-            kernel=kernel,
-            start=np.array([0.0, 1.0, 0.0]),
-            targets=frozenset({0, 2}),
-        )
-    assert exc.value.offender == 1
+    # and a NaN or infinite one, which no comparison with 0 catches
+    for row in ([0.75, -0.25, 0.5], [0.5, math.nan, 0.5], [math.inf, -math.inf, 0.0]):
+        kernel = np.array([[1.0, 0.0, 0.0], row, [0.0, 0.0, 1.0]])
+        with pytest.raises(errors.StructureError, match="kernel entry at state 1") as exc:
+            FiniteChain(
+                states=(0, 1, 2),
+                kernel=kernel,
+                start=np.array([0.0, 1.0, 0.0]),
+                targets=frozenset({0, 2}),
+            )
+        assert exc.value.offender == 1
 
 
 def test_finite_chain_rejects_a_negative_start_probability():
+    # and a NaN or infinite one
+    for start in ([1.5, -0.5], [1.0, math.nan], [1.0, math.inf]):
+        kernel = np.array([[1.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(errors.StructureError, match="start probability at state 1") as exc:
+            FiniteChain(
+                states=(0, 1),
+                kernel=kernel,
+                start=np.array(start),
+                targets=frozenset({0}),
+            )
+        assert exc.value.offender == 1
+
+
+def test_finite_chain_rejects_a_start_vector_of_the_wrong_length():
+    # zip would pair only the first two entries: from_start 0.0, not 2.0
     kernel = np.array([[1.0, 0.0], [0.5, 0.5]])
-    with pytest.raises(errors.StructureError) as exc:
+    with pytest.raises(errors.StructureError, match="start vector"):
         FiniteChain(
-            states=(0, 1),
-            kernel=kernel,
-            start=np.array([1.5, -0.5]),
-            targets=frozenset({0}),
+            states=(0, 1), kernel=kernel, start=np.array([0.0, 0.0, 1.0]), targets=frozenset({0})
         )
-    assert exc.value.offender == 1
+
+
+@pytest.mark.parametrize("target", [-1, 2])
+def test_finite_chain_rejects_a_target_index_outside_the_states(target):
+    kernel = np.array([[0.5, 0.5], [0.0, 1.0]])
+    with pytest.raises(errors.StructureError, match=f"target index {target} outside") as exc:
+        FiniteChain(
+            states=(0, 1), kernel=kernel, start=np.array([1.0, 0.0]),
+            targets=frozenset({1, target}),
+        )
+    assert exc.value.offender == target
+
+
+def test_finite_chain_keeps_its_kernel_in_canonical_compressed_rows():
+    dense = np.array([[1.0, 0.0, 0.0], [0.25, 0.25, 0.5], [0.0, 0.5, 0.5]])
+    chain = FiniteChain(
+        states=(0, 1, 2), kernel=dense, start=np.array([0.0, 0.0, 1.0]), targets=frozenset({0})
+    )
+    assert isinstance(chain.kernel, scipy.sparse.csr_array)
+    assert chain.kernel.has_canonical_format
+    assert chain.kernel.nnz == 6
+    assert np.array_equal(chain.kernel.toarray(), dense)
+    # unsorted, repeated and zero entries are merged on a copy of the caller's arrays
+    given = scipy.sparse.csr_array(
+        (np.array([0.5, 0.25, 0.0, 0.25, 0.0, 1.0]), np.array([1, 0, 1, 0, 0, 1]),
+         np.array([0, 4, 6])),
+        shape=(2, 2),
+    )
+    chain = FiniteChain(
+        states=(0, 1), kernel=given, start=np.array([1.0, 0.0]), targets=frozenset({1})
+    )
+    assert chain.kernel.has_canonical_format
+    assert chain.kernel.data.tolist() == [0.5, 0.5, 1.0]
+    assert chain.kernel.indices.tolist() == [0, 1, 1]
+    assert given.data.tolist() == [0.5, 0.25, 0.0, 0.25, 0.0, 1.0]
+    assert given.indices.tolist() == [1, 0, 1, 0, 0, 1]
+
+
+def test_dense_and_csr_kernels_give_the_same_hitting_times():
+    chain = to_finite_chain(make_simple_chain("gamblers_ruin", n=12))
+    dense = FiniteChain(
+        states=chain.states, kernel=chain.kernel.toarray(), start=chain.start,
+        targets=chain.targets,
+    )
+    by_csr = hitting_time_exact(chain).per_state
+    by_dense = hitting_time_exact(dense).per_state
+    assert repr(by_dense) == repr(by_csr)
+
+
+def test_enumerated_kernel_holds_only_its_nonzeros():
+    chain = to_finite_chain(make_simple_chain("coupon", n=9000))
+    kernel = chain.kernel
+    assert isinstance(kernel, scipy.sparse.csr_array)
+    assert kernel.has_canonical_format
+    assert kernel.shape == (9001, 9001)
+    assert kernel.data.nbytes + kernel.indices.nbytes + kernel.indptr.nbytes < 1_000_000
+
+
+def test_absorption_failure_names_the_lowest_index_stranded_state():
+    # 2 -> 3 <-> 4 never reach target 0; 1 does through 5
+    kernel = np.zeros((6, 6))
+    kernel[0, 0] = kernel[2, 3] = kernel[3, 4] = kernel[4, 3] = kernel[5, 0] = 1.0
+    kernel[1, 5] = kernel[1, 1] = 0.5
+    chain = FiniteChain(
+        states=("t", "a", "b", "c", "d", "e"),
+        kernel=kernel,
+        start=np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
+        targets=frozenset({0}),
+    )
+    with pytest.raises(errors.StructureError, match="'b'") as exc:
+        hitting_time_exact(chain)
+    assert exc.value.offender == "b"
 
 
 def test_all_target_chain_has_zero_time():

@@ -132,8 +132,10 @@ def test_expected_time_potential_has_unit_drift():
         if i in chain.targets:
             assert g(s) == pytest.approx(0.0, abs=1e-9)
             continue
+        row = slice(chain.kernel.indptr[i], chain.kernel.indptr[i + 1])
         drift = g(s) - sum(
-            p * g(chain.states[j]) for j, p in enumerate(chain.kernel[i]) if p
+            p * g(chain.states[j])
+            for j, p in zip(chain.kernel.indices[row], chain.kernel.data[row])
         )
         assert drift == pytest.approx(1.0, abs=1e-9)
 
