@@ -566,18 +566,10 @@ def check_updrift_levels(seed: int = 0) -> ComparisonRow:
     n, k, delta, gamma0 = 100, 1000, 1.0, 0.2
     params = UpDriftParams(n=n, k=k, e0=1.0, gamma0=gamma0, delta=delta)
     rep = bounds.updrift_upper(params)
-    trials = 10_000
-    times = np.empty(trials)
-    for trial in range(trials):
-        rng = trial_rng(seed + 1600, trial)
-        x, t = 0, 0
-        while x < n:
-            x = 1 if x == 0 else int(rng.binomial(k, min(1.0, (1.0 + delta) * x / k)))
-            t += 1
-        times[trial] = t
-    mean = float(np.mean(times))
-    se = float(np.std(times, ddof=1) / math.sqrt(trials))
-    subs = [("sim_below_bound", mean + 3.0 * se <= rep.bound)]
+    proc = make_simple_chain("updrift", n=n, k=k, delta=delta)
+    stats = simulate_hitting(proc, 10_000, seed + 1600)
+    subs = [("sim_below_bound",
+             stats.censored == 0 and stats.mean + 3.0 * stats.se <= rep.bound)]
 
     lb = LevelBasedParams(m=3, lam=20_000, delta=0.5, gamma0=0.5, z=(0.01, 0.05))
     lb_rep = bounds.level_based(lb)
@@ -604,7 +596,7 @@ def check_updrift_levels(seed: int = 0) -> ComparisonRow:
         ok_mono = ok_mono and b2 <= prev + _EXACT
         prev = b2
     subs.append(("monotone_in_z", ok_mono))
-    return _row("updrift", UPPER_ON_ET, rep.bound, sim=(mean, se), subs=subs)
+    return _row("updrift", UPPER_ON_ET, rep.bound, sim=(stats.mean, stats.se), subs=subs)
 
 
 CRITERIA = {

@@ -21,7 +21,6 @@ from .oracle import _double_sum
 UPPER_ON_ET = "upper_on_ET"
 LOWER_ON_ET = "lower_on_ET"
 UPPER_TAIL_PROB = "upper_tail_prob"
-LOWER_TAIL_PROB = "lower_tail_prob"
 FIXED_BUDGET_VALUE = "fixed_budget_value"
 
 PASS = "pass"
@@ -93,15 +92,19 @@ class LevelProfile:
                 raise ParameterError("visit probabilities must lie in [0, 1]")
 
 
-def _monotone_grid_check(h: DriftFunction, lo: float, hi: float, points: int = 1000):
-    """Spot-check monotone non-decrease of h on a grid."""
-    xs = np.linspace(lo, hi, points)
-    ys = np.array([h.eval(float(x)) for x in xs])
-    ok = bool(np.all(np.diff(ys) >= -1e-12))
-    return PreconditionFlag(
-        "h_monotone", PASS if ok else FAIL,
-        f"grid check on [{lo}, {hi}] with {points} points",
+def _grid_flags(h: DriftFunction, lo: float, hi: float) -> dict:
+    """Flags of h on a 1000-point grid of [lo, hi], by name: h_monotone
+    (h non-decreasing, with 1e-12 slack), greed_admitting (x - h(x)
+    non-decreasing) and h_convex, both with 1e-9 slack."""
+    xs = np.linspace(lo, hi, 1000)
+    hv = np.array([h.eval(float(x)) for x in xs])
+    checks = (
+        ("h_monotone", np.diff(hv) >= -1e-12, f"grid check on [{lo}, {hi}] with 1000 points"),
+        ("greed_admitting", np.diff(xs - hv) >= -1e-9, ""),
+        ("h_convex", np.diff(hv, 2) >= -1e-9, ""),
     )
+    return {name: PreconditionFlag(name, PASS if ok.all() else FAIL, detail)
+            for name, ok, detail in checks}
 
 
 def _clamp_prob(value: float) -> float:
@@ -278,7 +281,7 @@ def variable_drift_upper(h: DriftFunction, x_min: float, x0: float) -> BoundRepo
         raise ParameterError("x_min must be positive")
     if x0 < x_min:
         raise ParameterError("X0 must be at least x_min")
-    flags = [_monotone_grid_check(h, x_min, x0)]
+    flags = [_grid_flags(h, x_min, x0)["h_monotone"]]
     h_min = h.eval(x_min)
     if h_min <= 0:
         raise ParameterError("h must be positive at x_min")
@@ -804,19 +807,6 @@ def fixed_budget_additive(
     )
 
 
-def _h_tilde_checks(h: DriftFunction, lo: float, hi: float):
-    """Greed-admitting (x - h(x) non-decreasing) and convexity flags of h
-    on a 1000-point grid of [lo, hi], with 1e-9 slack."""
-    xs = np.linspace(lo, hi, 1000)
-    hv = np.array([h.eval(float(x)) for x in xs])
-    greed = bool(np.all(np.diff(xs - hv) >= -1e-9))
-    convex = bool(np.all(np.diff(hv, 2) >= -1e-9))
-    return (
-        PreconditionFlag("greed_admitting", PASS if greed else FAIL),
-        PreconditionFlag("h_convex", PASS if convex else FAIL),
-    )
-
-
 def _h_tilde_derivative_at_zero(h: DriftFunction) -> float:
     if h.derivative is not None:
         return 1.0 - h.derivative(0.0)
@@ -837,7 +827,8 @@ def fixed_budget_variable(
         raise ParameterError("t must be non-negative")
     if variant not in ("unlimited", "limited"):
         raise ParameterError(f"unknown variant {variant!r}")
-    flags = _h_tilde_checks(h, 0.0, max(x0, 1.0))
+    grid = _grid_flags(h, 0.0, max(x0, 1.0))
+    flags = (grid["greed_admitting"], grid["h_convex"])
     x = float(x0)
     for _ in range(int(t)):
         x = x - h.eval(x)
@@ -867,7 +858,7 @@ def iterated_budget_threshold(
     or sum over integers [x..y-1] (integer domain)."""
     if x > y:
         raise ParameterError("need x <= y")
-    flags = [_monotone_grid_check(h, x, max(y, x + 1e-9))]
+    flags = [_grid_flags(h, x, max(y, x + 1e-9))["h_monotone"]]
     if domain == "continuous":
         integral, _ = scipy.integrate.quad(
             lambda z: 1.0 / h.eval(z), x, y, epsrel=1e-9, limit=500
@@ -885,14 +876,6 @@ def iterated_budget_threshold(
         extras={"budget": int(t)},
         preconditions=tuple(flags),
     )
-
-
-def verify_iterated_threshold(h: DriftFunction, x: float, y: float, t: int) -> bool:
-    """Direct iteration check that t steps of id - h from y reach x."""
-    z = float(y)
-    for _ in range(int(t)):
-        z = z - h.eval(z)
-    return z <= x + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bounds import _h_tilde_checks
+from .bounds import _grid_flags
 from .errors import ParameterError
-from .processes import KernelDraw, LeadingOnesEA, Process
+from .processes import KernelDraw, LeadingOnesEA, Process, _whole
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+_CAP = 10_000_000  # simulate_hitting's step cap when none is given
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,8 @@ def sample_hitting_times(
     process: Process, trials: int, seed: int, cap: int
 ) -> np.ndarray:
     """Per-trial hitting times; censored trials are recorded as -1."""
+    trials = _whole("sample_hitting_times", "trials", trials)
+    cap = _whole("sample_hitting_times", "cap", cap)
     if trials < 1 or cap < 1:
         raise ParameterError("trials and cap must be at least 1")
     if _steps_in_lockstep(process, trials):
@@ -396,20 +399,13 @@ def _stats_from_times(times: np.ndarray, cap: int) -> RunStats:
     )
 
 
-def default_cap(upper_bound: Optional[float] = None) -> int:
-    """100x the best available upper bound, or 10^7 without one."""
-    if upper_bound is None or not math.isfinite(upper_bound):
-        return 10_000_000
-    return max(1, int(math.ceil(100.0 * upper_bound)))
-
-
 def simulate_hitting(
     process: Process, trials: int, seed: int, cap: Optional[int] = None
 ) -> RunStats:
     """Empirical hitting-time statistics over independent trials."""
-    cap = default_cap() if cap is None else cap
+    cap = _CAP if cap is None else cap
     times = sample_hitting_times(process, trials, seed, cap)
-    return _stats_from_times(times, cap)
+    return _stats_from_times(times, int(cap))  # sample_hitting_times checked it is whole
 
 
 @dataclass(frozen=True)
@@ -441,6 +437,8 @@ def simulate_trajectory(
     process: Process, horizon: int, trials: int, seed: int
 ) -> TrajectoryStats:
     """Mean value curve over t = 0..horizon with pointwise 99% CIs."""
+    horizon = _whole("simulate_trajectory", "horizon", horizon)
+    trials = _whole("simulate_trajectory", "trials", trials)
     if horizon < 0 or trials < 1:
         raise ParameterError("horizon must be >= 0 and trials >= 1")
     acc = np.zeros(horizon + 1)
@@ -565,7 +563,7 @@ def verify_condition(
     if condition_id == "greed_admitting":
         # property of the drift function itself, checked on a value grid
         hi = max((potential.eval(s) for s, _ in (process.initial_support or ())), default=1.0)
-        greed, _ = _h_tilde_checks(h, 0.0, max(hi, 1.0))
+        greed = _grid_flags(h, 0.0, max(hi, 1.0))["greed_admitting"]
         return ConditionReport(
             condition_id=condition_id,
             per_state=(),
@@ -656,6 +654,8 @@ def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple:
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise ParameterError(f"successes must lie in [0, {trials}], got {successes}")
     phat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -668,13 +668,10 @@ def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple:
 
 def tail_frequency(process: Process, time_threshold: int, trials: int, seed: int):
     """Empirical Pr[T > threshold] with a Wilson 99% CI."""
-    if time_threshold < 0:
+    threshold = _whole("tail_frequency", "time_threshold", time_threshold)
+    if threshold < 0:
         raise ParameterError("threshold must be non-negative")
-    if time_threshold == 0:
-        times = sample_hitting_times(process, trials, seed, cap=1)
-        exceed = int(np.sum(times != 0))
-    else:
-        times = sample_hitting_times(process, trials, seed, cap=time_threshold)
-        exceed = int(np.sum(times < 0))
+    times = sample_hitting_times(process, trials, seed, cap=max(threshold, 1))
+    exceed = int(np.sum((times < 0) | (times > threshold)))
     frac = exceed / trials
     return frac, wilson_interval(exceed, trials)

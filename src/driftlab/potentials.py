@@ -57,15 +57,6 @@ def lift(process: Process, g: Potential) -> Process:
     return replace(process, value=g.eval, name=f"{process.name}|{g.description}")
 
 
-def normalize(g: Potential, c: float) -> Potential:
-    """Scale a potential by 1/c (drift scales the same way)."""
-    if c <= 0:
-        raise ParameterError("normalization constant must be positive")
-    return Potential(
-        eval=lambda s: g.eval(s) / c, description=f"{g.description}/{c}"
-    )
-
-
 def glue_two_part(k: float) -> Potential:
     """Concave glue map over real-valued states.
 

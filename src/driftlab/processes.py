@@ -136,12 +136,14 @@ class FiniteChain:
             if not ok.all():
                 k = int(np.argmin(ok))
                 state = self.states[int(np.searchsorted(ends, k, "right"))]
-                raise StructureError(f"{what} at state {state!r} is {probs[k]!r}", offender=state)
+                raise StructureError(f"{what} at state {state!r} is {float(probs[k])!r}",
+                                     offender=state)
         rows = kernel @ np.ones(n)
         if np.max(np.abs(rows - 1.0)) > 1e-12:
             bad = int(np.argmax(np.abs(rows - 1.0)))
             raise StructureError(
-                f"kernel row {bad} sums to {rows[bad]!r}", offender=self.states[bad]
+                f"kernel row at {self.states[bad]!r} sums to {float(rows[bad])!r}",
+                offender=self.states[bad],
             )
         if abs(self.start.sum() - 1.0) > 1e-12:
             raise StructureError("start vector does not sum to 1")
@@ -322,10 +324,10 @@ def make_simple_chain(kind: str, **params) -> Process:
 
     Supported kinds: coupon(n), generalized_coupon(n, p), geometric(p),
     winning_streak(k), gamblers_ruin(n), fair_walk_reflecting(n),
-    rumor(n).  States are integers; value is the natural distance to the
-    target (missing coupons, remaining streak, coins to a barrier,
-    uninformed people).  A key the kind does not take, or a missing
-    one, is an error naming it.
+    rumor(n), updrift(n, k, delta).  States are integers; value is the
+    natural distance to the target (missing coupons, remaining streak,
+    coins to a barrier, uninformed people, missing population).  A key
+    the kind does not take, or a missing one, is an error naming it.
     """
     if kind not in _SIMPLE_CHAINS:
         raise ParameterError(
@@ -471,6 +473,29 @@ def _rumor(n: int) -> Process:
     )
 
 
+def _updrift(n: int, k: int, delta: float) -> Process:
+    # population of x individuals among k: from 0 one individual appears,
+    # otherwise each of the k is present with probability (1+delta)x/k;
+    # the target is a population of at least n.  It has no exact kernel.
+    if n < 1:
+        raise ParameterError("updrift requires n >= 1")
+    if n > k:
+        raise ParameterError("updrift requires n <= k")
+    if not delta > 0.0:
+        raise ParameterError("updrift requires delta > 0")
+
+    def step(x, rng):
+        return 1 if x == 0 else int(rng.binomial(k, min(1.0, (1.0 + delta) * x / k)))
+
+    return Process(
+        name=f"updrift(n={n},k={k},delta={delta})",
+        sample_initial=lambda rng: 0,
+        step=step,
+        value=lambda x: float(max(n - x, 0)),
+        is_target=lambda x: x >= n,
+    )
+
+
 # kind -> builder; the builders' signatures are the keys each kind takes
 _SIMPLE_CHAINS = {
     "coupon": _coupon,
@@ -480,6 +505,7 @@ _SIMPLE_CHAINS = {
     "gamblers_ruin": _gamblers_ruin,
     "fair_walk_reflecting": _fair_walk_reflecting,
     "rumor": _rumor,
+    "updrift": _updrift,
 }
 
 
@@ -507,27 +533,25 @@ def _binom_pmf_row(m: int, p: float) -> np.ndarray:
     return np.array([comb(m, j) * p**j * q ** (m - j) for j in range(m + 1)])
 
 
-def _ea_distance_kernel(n: int, p: float, fitness: Callable[[int], int]) -> Kernel:
-    """Projected (1+1) EA kernel on Hamming distance, valid whenever the
-    fitness depends on the bit string only through the distance."""
+def _distance_kernel(flips, fitness: Callable[[int], int]) -> Kernel:
+    """Projected kernel of a mutation with greedy selection on Hamming
+    distance, valid whenever the fitness depends on the bit string only
+    through the distance.  flips(d) lists the mutation's outcomes from
+    distance d as (zeros corrected, ones destroyed, prob)."""
 
     cache: dict[int, list] = {}
 
     def kernel(d):
         if d in cache:
             return cache[d]
-        down = _binom_pmf_row(d, p)        # zeros corrected
-        up = _binom_pmf_row(n - d, p)      # ones destroyed
         masses: dict[int, float] = {}
         f_cur = fitness(d)
-        for b in range(d + 1):
-            for a in range(n - d + 1):
-                prob = down[b] * up[a]
-                if prob == 0.0:
-                    continue
-                cand = d - b + a
-                succ = cand if fitness(cand) >= f_cur else d
-                masses[succ] = masses.get(succ, 0.0) + prob
+        for b, a, prob in flips(d):
+            if prob == 0.0:
+                continue
+            cand = d - b + a
+            succ = cand if fitness(cand) >= f_cur else d
+            masses[succ] = masses.get(succ, 0.0) + prob
         row = sorted(masses.items())
         cache[d] = row
         return row
@@ -620,20 +644,15 @@ def make_ea_process(
             fitness = lambda d: _plateau_fitness(d, n, k)
 
         if algorithm == "RLS":
-            def kernel(d):
-                if d == 0:
-                    return [(0, 1.0)]
-                f_cur = fitness(d)
-                row: dict[int, float] = {}
-                # flip one of the d zero bits
-                succ = d - 1 if fitness(d - 1) >= f_cur else d
-                row[succ] = row.get(succ, 0.0) + d / n
-                if d < n:
-                    succ = d + 1 if fitness(d + 1) >= f_cur else d
-                    row[succ] = row.get(succ, 0.0) + (n - d) / n
-                return sorted(row.items())
+            # one bit flips: one of the n - d ones, or one of the d zeros
+            def flips(d):
+                return [(0, 1, (n - d) / n), (1, 0, d / n)]
         else:
-            kernel = _ea_distance_kernel(n, p, fitness)
+            # independent flips: b of the d zeros and a of the n - d ones
+            def flips(d):
+                probs = np.outer(_binom_pmf_row(d, p), _binom_pmf_row(n - d, p)).tolist()
+                return [(b, a, q) for b, row in enumerate(probs) for a, q in enumerate(row)]
+        kernel = _distance_kernel(flips, fitness)
 
         return _chain_process(
             name, kernel, _binomial_start(n),
@@ -886,11 +905,12 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
         total = sum(p for _, p in row)
         if abs(total - 1.0) > _KERNEL_TOL:
             raise StructureError(
-                f"kernel row at {state!r} sums to {total!r}", offender=state
+                f"kernel row at {state!r} sums to {float(total)!r}", offender=state
             )
         row_sum: dict[int, float] = {}
+        # a zero is left out; FiniteChain rejects a negative entry
         for succ, p in row:
-            if p <= 0.0:
+            if p == 0.0:
                 continue
             if succ not in index:
                 if len(order) >= max_states:

@@ -43,7 +43,6 @@ from driftlab.bounds import (
     negative_drift_escape,
     updrift_upper,
     variable_drift_upper,
-    verify_iterated_threshold,
     wormald_track,
 )
 from driftlab.oracle import birth_death_exact, harmonic
@@ -355,8 +354,9 @@ def test_fixed_budget_limited_adds_slope_correction():
 def test_budget_threshold_constant_drift_counts_steps():
     r = iterated_budget_threshold(constant_drift(1.0), 5.0, 20.0)
     assert r.bound == 15.0
-    assert verify_iterated_threshold(constant_drift(1.0), 5.0, 20.0, 15)
-    assert not verify_iterated_threshold(constant_drift(1.0), 5.0, 20.0, 14)
+    # 15 steps of x - 1 from 20 reach 5, and 14 do not
+    assert fixed_budget_variable(constant_drift(1.0), 20.0, 15).bound <= 5.0
+    assert fixed_budget_variable(constant_drift(1.0), 20.0, 14).bound > 5.0
 
 
 def test_budget_threshold_integer_domain_harmonic():

@@ -454,6 +454,12 @@ def test_oracle_command_rejects_huge_state_space(capsys):
         ("coupon()", "coupon needs parameter 'n'"),
         ("RLS-onemax(n=4,p=0.9)", "RLS-onemax takes no mutation rate; RLS flips exactly one bit"),
         ("OnePlusOneEA-onemax(n=4,k=3)", "OnePlusOneEA-onemax takes no k; only plateau has a radius k"),
+        ("updrift(n=10,k=100,delta=1)", "updrift(n=10,k=100,delta=1) has no exact kernel"),
+        ("updrift(n=0,k=100,delta=1)", "updrift requires n >= 1"),
+        ("updrift(n=101,k=100,delta=1)", "updrift requires n <= k"),
+        ("updrift(n=10,k=100,delta=-1)", "updrift requires delta > 0"),
+        ("updrift(n=10,k=100,delta=nan)", "updrift requires delta > 0"),
+        ("updrift(n=10,k=100.5,delta=1)", "updrift parameter 'k' must be a whole number, got 100.5"),
     ],
 )
 def test_oracle_command_names_what_is_wrong_with_the_process(spec, message, capsys):
@@ -493,6 +499,16 @@ def test_simulate_command(capsys):
     mean = float(out.split()[1])
     assert abs(mean - 2.0) < 0.2
     assert "censored 0/2000" in out
+
+
+def test_simulate_command_runs_the_updrift_chain_of_the_acceptance_row(capsys):
+    # the updrift_levels criterion's process, seed and trials: its sim_mean
+    code = main(["simulate", "updrift(n=100,k=1000,delta=1)", "--trials", "10000",
+                 "--seed", "1600"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.split()[:2] == ["mean", "8.9713"]
+    assert "censored 0/10000" in out
 
 
 def test_suite_quick_holds(tmp_path, capsys):

@@ -13,7 +13,6 @@ from driftlab.montecarlo import (
     _FEW_TRIALS,
     _FIRST_BLOCK,
     _chunk_trials,
-    default_cap,
     estimate_drift,
     sample_hitting_times,
     sample_trajectory,
@@ -88,12 +87,6 @@ def test_empirical_mean_matches_oracle(proc):
     assert abs(stats.mean - truth) <= 3.0 * stats.se, (stats.mean, truth)
 
 
-def test_default_cap_policy():
-    assert default_cap(12.3) == 1230
-    assert default_cap(None) == 10_000_000
-    assert default_cap(float("inf")) == 10_000_000
-
-
 def test_wilson_interval_brackets_the_point_estimate():
     lo, hi = wilson_interval(30, 100)
     assert 0.0 <= lo < 0.3 < hi <= 1.0
@@ -106,6 +99,10 @@ def test_wilson_interval_brackets_the_point_estimate():
             assert 0.0 <= lo <= successes / trials <= hi <= 1.0
     with pytest.raises(errors.ParameterError):
         wilson_interval(0, 0)
+    # more successes than trials, or fewer than none
+    for successes in (5, -1):
+        with pytest.raises(errors.ParameterError, match="successes must lie in"):
+            wilson_interval(successes, 3)
 
 
 def test_tail_frequency_on_deterministic_chain():
@@ -293,6 +290,29 @@ def test_parameter_validation():
         simulate_trajectory(proc, horizon=-1, trials=10, seed=0)
     with pytest.raises(errors.ParameterError):
         estimate_drift(proc, identity_potential(), 2, samples=0, seed=0)
+
+
+@pytest.mark.parametrize("trials", [4, 100])  # the loop and the lockstep walker
+def test_whole_valued_float_counts_are_taken_on_every_path(trials):
+    proc = make_simple_chain("coupon", n=5)
+    times = sample_hitting_times(proc, trials, 1, cap=10**6)
+    assert np.array_equal(sample_hitting_times(proc, trials, 1, cap=1e6), times)
+    assert np.array_equal(sample_hitting_times(proc, float(trials), 1, cap=10**6), times)
+    assert simulate_hitting(proc, float(trials), 1, cap=1e6) == simulate_hitting(
+        proc, trials, 1, cap=10**6
+    )
+    curve = simulate_trajectory(proc, 20.0, float(trials), 1)
+    assert np.array_equal(curve.mean, simulate_trajectory(proc, 20, trials, 1).mean)
+    assert tail_frequency(proc, 10.0, trials, 1) == tail_frequency(proc, 10, trials, 1)
+    for call, key in (
+        (lambda: sample_hitting_times(proc, trials, 1, cap=2.5), "cap"),
+        (lambda: sample_hitting_times(proc, trials + 0.5, 1, cap=10), "trials"),
+        (lambda: simulate_trajectory(proc, 20.5, trials, 1), "horizon"),
+        (lambda: simulate_trajectory(proc, 20, trials + 0.5, 1), "trials"),
+        (lambda: tail_frequency(proc, 2.5, trials, 1), "time_threshold"),
+    ):
+        with pytest.raises(errors.ParameterError, match=f"parameter '{key}' must be a whole"):
+            call()
 
 
 def test_trial_rng_streams_are_distinct():

@@ -274,6 +274,16 @@ def test_finite_chain_rejects_a_negative_kernel_entry():
         assert exc.value.offender == 1
 
 
+def test_finite_chain_names_the_state_whose_row_does_not_sum_to_one():
+    kernel = np.array([[1.0, 0.0], [0.75, 0.75]])
+    with pytest.raises(errors.StructureError) as exc:
+        FiniteChain(
+            states=("a", "b"), kernel=kernel, start=np.array([0.0, 1.0]), targets=frozenset({0})
+        )
+    assert str(exc.value) == "kernel row at 'b' sums to 1.5"
+    assert exc.value.offender == "b"
+
+
 def test_finite_chain_rejects_a_negative_start_probability():
     # and a NaN or infinite one
     for start in ([1.5, -0.5], [1.0, math.nan], [1.0, math.inf]):

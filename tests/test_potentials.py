@@ -16,7 +16,6 @@ from driftlab.potentials import (
     identity_potential,
     lift,
     linear_weights_potential,
-    normalize,
     plateau_lower_potential,
     plateau_upper_potential,
     table_potential,
@@ -108,13 +107,6 @@ def test_walk_squares_vanish_only_at_their_barriers():
         g2(11)
     with pytest.raises(errors.OutOfDomainError):
         g1(-0.5)
-
-
-def test_normalize_scales_values():
-    g = normalize(identity_potential(), 4.0)
-    assert g(8) == 2.0
-    with pytest.raises(errors.ParameterError):
-        normalize(identity_potential(), 0.0)
 
 
 def test_table_potential_raises_outside_table():

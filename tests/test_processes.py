@@ -119,6 +119,69 @@ def test_ea_distance_kernel_mass_splits_correctly():
     assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def _rls_distance_row(n, d, fitness):
+    """RLS from distance d, written out: one of the d zeros flips with
+    probability d/n, one of the n - d ones with (n - d)/n, and the flip
+    is kept when the fitness does not fall."""
+    if d == 0:
+        return [(0, 1.0)]
+    row = {}
+    succ = d - 1 if fitness(d - 1) >= fitness(d) else d
+    row[succ] = row.get(succ, 0.0) + d / n
+    if d < n:
+        succ = d + 1 if fitness(d + 1) >= fitness(d) else d
+        row[succ] = row.get(succ, 0.0) + (n - d) / n
+    return sorted(row.items())
+
+
+def test_rls_distance_rows_are_the_written_out_one_bit_flip():
+    for n in range(1, 13):
+        cases = [("onemax", None, lambda d: n - d)]
+        cases += [("plateau", k, lambda d, k=k: n - d if d == 0 or d >= k else n - k)
+                  for k in range(2, n + 1)]
+        for objective, k, fitness in cases:
+            proc = make_ea_process("RLS", objective, n=n, k=k)
+            for d in range(n + 1):
+                assert repr(proc.exact_kernel(d)) == repr(_rls_distance_row(n, d, fitness))
+
+
+def test_updrift_starts_at_zero_and_draws_one_binomial_a_step():
+    n, k, delta = 5, 20, 0.5
+    proc = make_simple_chain("updrift", n=n, k=k, delta=delta)
+    assert proc.exact_kernel is None and proc.step_law is None
+    rng, ref = trial_rng(3, 0), trial_rng(3, 0)
+    x = proc.sample_initial(rng)
+    assert x == 0 and proc.value(x) == 5.0
+    x = proc.step(x, rng)  # 0 -> 1 draws nothing
+    assert x == 1
+    while not proc.is_target(x):
+        expect = int(ref.binomial(k, min(1.0, (1.0 + delta) * x / k)))
+        x = proc.step(x, rng)
+        assert x == expect
+    assert x >= n and proc.value(x) == 0.0
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([(0, 1.5), (2, -0.5)], "kernel entry at state 1 is -0.5"),
+        # rounding hides it in the row sum
+        ([(0, 0.5), (2, 0.5), (1, -1e-17)], "kernel entry at state 1 is -1e-17"),
+    ],
+)
+def test_to_finite_chain_names_a_negative_kernel_entry(row, message):
+    # the row at state 1 sums to 1; state 1 is the start, chain index 0
+    rows = {0: [(0, 1.0)], 1: row, 2: [(2, 1.0)]}
+    proc = processes._chain_process(
+        "signed", rows.get, [(1, 1.0)], value=float, is_target=lambda s: s != 1
+    )
+    with pytest.raises(errors.StructureError) as exc:
+        to_finite_chain(proc)
+    assert str(exc.value) == message
+    assert exc.value.offender == 1
+
+
 def test_linear_objective_validates_weights():
     with pytest.raises(errors.ParameterError):
         make_ea_process("RLS", "linear", weights=(1.0, 2.0))
