@@ -835,7 +835,9 @@ def fixed_budget_variable(
     value = x
     if variant == "limited":
         d0 = _h_tilde_derivative_at_zero(h)
-        if not (0.0 < d0 <= 1.0):
+        if d0 <= 0.0:
+            raise ParameterError(f"the limited variant needs h~'(0) > 0, got {d0}")
+        if d0 > 1.0:
             flags = flags + (
                 PreconditionFlag("h_tilde_slope_at_0", FAIL, f"h~'(0) = {d0}"),
             )
@@ -859,13 +861,19 @@ def iterated_budget_threshold(
     if x > y:
         raise ParameterError("need x <= y")
     flags = [_grid_flags(h, x, max(y, x + 1e-9))["h_monotone"]]
+
+    def reciprocal(z):
+        hz = h.eval(z)
+        if not hz > 0:
+            raise ParameterError(f"h must be positive on [{x}, {y}], got h({z}) = {hz}")
+        return 1.0 / hz
+
     if domain == "continuous":
-        integral, _ = scipy.integrate.quad(
-            lambda z: 1.0 / h.eval(z), x, y, epsrel=1e-9, limit=500
-        )
+        reciprocal(x)  # quad samples only inside the interval
+        integral, _ = scipy.integrate.quad(reciprocal, x, y, epsrel=1e-9, limit=500)
         t = ceil(integral) if integral > 0 else 0
     elif domain == "integer":
-        t = ceil(sum(1.0 / h.eval(float(i)) for i in range(int(x), int(y))))
+        t = ceil(sum(reciprocal(float(i)) for i in range(int(x), int(y))))
     else:
         raise ParameterError(f"unknown domain {domain!r}")
     return BoundReport(

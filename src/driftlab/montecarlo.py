@@ -2,14 +2,19 @@
 
 Trials are keyed by (seed, trial index) through SeedSequence spawn
 keys, so results are deterministic and independent of trial execution
-order.  The reference for every simulation is the loop over a trial's
-Process interface (sample_initial, is_target, step).  A process whose
-step_law is a KernelDraw (kernel chains) or LeadingOnesEA (the (1+1) EA
-on LeadingOnes) is instead stepped by the lockstep walker: all live trials
-of a chunk advance together in numpy, each reading its own stream in
-blocks, since rng.random(a) followed by rng.random(b) gives the numbers
-of rng.random(a + b).  Its hitting times and value curves equal the
-loop's trial by trial.
+order.  trial_rng(seed, i) is the stream of trial i; simulations build
+the streams of a chunk of trials at once (_trial_rngs), hashing every
+spawn key of the chunk in one numpy pass, and each such stream equals
+trial_rng's.  The reference for every simulation is the loop over a
+trial's Process interface (sample_initial, is_target, step).  A process
+whose step_law is a KernelDraw (kernel chains) or LeadingOnesEA (the
+(1+1) EA on LeadingOnes) is instead stepped by the lockstep walker: all
+live trials of a chunk advance together in numpy, each reading its own
+stream in blocks, since rng.random(a) followed by rng.random(b) gives
+the numbers of rng.random(a + b).  Once no more chain trials are live
+than the loop would take from the start, the loop finishes their hitting
+times from where the walker left them.  Hitting times and value curves
+equal the loop's trial by trial.
 """
 
 import math
@@ -18,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .bounds import _grid_flags
 from .errors import ParameterError
@@ -65,21 +71,135 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
-def _hit_time(process: Process, rng, cap: int) -> int:
-    state = process.sample_initial(rng)
-    for t in range(cap + 1):
-        if process.is_target(state):
-            return t
-        if t == cap:
+# numpy's SeedSequence hash of 32-bit words into a pool of 4: hashmix
+# xors a word with a running constant, multiplies it by the constant's
+# next value and xorshifts it by 16; mix joins two pool words
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_WIDE_TRIAL = 1 << 32  # from here a spawn key has two words
+
+
+def _constants(value: int, mult: int, count: int) -> np.ndarray:
+    """value and the count running constants after it."""
+    return np.array([value * pow(mult, k, 1 << 32) & _M32 for k in range(count + 1)],
+                    dtype=np.uint32)
+
+
+# generate_state(4, uint64) reads the pool twice, one constant a word
+_STATE_CONSTANTS = _constants(_INIT_B, _MULT_B, 8)
+
+
+def _seed_pool(seed: int):
+    """The pool of SeedSequence(seed, spawn_key=(t,)) before t, its last
+    entropy word, is mixed in, and the five hash constants t's four
+    hashmix calls use.  The entropy is the seed's words, zero-padded to
+    the pool, then t; none of this depends on t."""
+    entropy = []
+    while True:
+        entropy.append(seed & _M32)
+        seed >>= 32
+        if not seed:
             break
+    entropy += [0] * (4 - len(entropy))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return np.array(pool, dtype=np.uint32), _constants(const, _MULT_A, 4)
+
+
+class _TrialSeed(ISpawnableSeedSequence):
+    """Seeds one trial's PCG64 with the state words that
+    SeedSequence(seed, spawn_key=(trial,)) generates for it.  spawn, and
+    any other request, goes to that SeedSequence, built on first use."""
+
+    def __init__(self, seed: int, trial: int, words: np.ndarray):
+        self.seed, self.trial, self.words = seed, trial, words
+        self._sequence = None
+
+    def _full(self) -> np.random.SeedSequence:
+        if self._sequence is None:
+            self._sequence = np.random.SeedSequence(self.seed, spawn_key=(self.trial,))
+        return self._sequence
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and np.dtype(dtype) == np.uint64:
+            return self.words
+        return self._full().generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._full().spawn(n_children)
+
+
+def _trial_rngs(seed: int, first: int, count: int) -> list:
+    """The streams of trials first .. first + count - 1, each equal to
+    trial_rng's, with the spawn keys of all of them hashed in one pass."""
+    stop = first + count
+    wide = min(max(first, _WIDE_TRIAL), stop)
+    pool, const = _seed_pool(seed)
+    t = np.arange(first, wide, dtype=np.uint32)[:, None]
+    word = (t ^ const[:-1]) * const[1:]
+    word ^= word >> 16
+    pool = pool * np.uint32(_MIX_L) - word * np.uint32(_MIX_R)
+    pool ^= pool >> 16
+    state = (np.tile(pool, 2) ^ _STATE_CONSTANTS[:-1]) * _STATE_CONSTANTS[1:]
+    state ^= state >> 16
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [
+        np.random.Generator(np.random.PCG64(_TrialSeed(seed, first + i, words)))
+        for i, words in enumerate(state)
+    ] + [trial_rng(seed, trial) for trial in range(wide, stop)]
+
+
+def _streams(seed: int, trials: int):
+    """The streams of trials 0 .. trials - 1, built a chunk at a time."""
+    for first in range(0, trials, _CHUNK):
+        yield from _trial_rngs(seed, first, min(_CHUNK, trials - first))
+
+
+def _seed(spec: str, seed) -> int:
+    """A simulation seed as an int; SeedSequence takes whole numbers >= 0."""
+    seed = _whole(spec, "seed", seed)
+    if seed < 0:
+        raise ParameterError(f"{spec} parameter 'seed' must be non-negative, got {seed}")
+    return seed
+
+
+def _hit_time(process: Process, state, rng, t: int, cap: int) -> int:
+    """The hitting time of a trial at state at time t, stepping it on
+    (-1 if the cap comes first)."""
+    while not process.is_target(state):
+        if t == cap:
+            return -1
         state = process.step(state, rng)
-    return -1
+        t += 1
+    return t
 
 
 def sample_hitting_times(
     process: Process, trials: int, seed: int, cap: int
 ) -> np.ndarray:
     """Per-trial hitting times; censored trials are recorded as -1."""
+    seed = _seed("sample_hitting_times", seed)
     trials = _whole("sample_hitting_times", "trials", trials)
     cap = _whole("sample_hitting_times", "cap", cap)
     if trials < 1 or cap < 1:
@@ -87,8 +207,8 @@ def sample_hitting_times(
     if _steps_in_lockstep(process, trials):
         return _lockstep(process, trials, seed, cap)
     times = np.empty(trials, dtype=np.int64)
-    for trial in range(trials):
-        times[trial] = _hit_time(process, trial_rng(seed, trial), cap)
+    for trial, rng in enumerate(_streams(seed, trials)):
+        times[trial] = _hit_time(process, process.sample_initial(rng), rng, 0, cap)
     return times
 
 
@@ -224,6 +344,9 @@ class _KernelWalk:
     def keep(self, live) -> None:
         self.idx = self.idx[live]
 
+    def state(self, slot: int):
+        return self.table.states[self.idx[slot]]
+
     def values(self):
         return self.val[self.idx]
 
@@ -310,7 +433,13 @@ def _lockstep(process: Process, trials: int, seed: int, steps: int, sums=None) -
     step(draws) return the mask of slots that reached the target (None
     when none did), draw(rngs, steps) takes each slot's next draws from
     its stream, stop(mask) drops slots from the target check, keep(mask)
-    compacts the slots, and values() gives each slot's process value."""
+    compacts the slots, values() gives each slot's process value and
+    state(slot) its state.
+
+    For hitting times, once so few trials are live that a job of that
+    many would take the loop, each live trial's hitting time is finished
+    by the loop from the walker's state at a block boundary: its stream
+    has then given exactly the draws of the steps taken."""
     record = sums is not None
     if isinstance(process.step_law, KernelDraw):
         walk = _KernelWalk(process, record)
@@ -319,7 +448,7 @@ def _lockstep(process: Process, trials: int, seed: int, steps: int, sums=None) -
     times = np.full(trials, -1, dtype=np.int64)
     chunk = _chunk_trials(walk.width)
     for first in range(0, trials, chunk):
-        rngs = [trial_rng(seed, i) for i in range(first, min(first + chunk, trials))]
+        rngs = _trial_rngs(seed, first, min(chunk, trials - first))
         size = len(rngs)
         hit = walk.start([process.sample_initial(rng) for rng in rngs])
         # pos maps a slot to its trial in the chunk; a stopped slot points
@@ -342,6 +471,10 @@ def _lockstep(process: Process, trials: int, seed: int, steps: int, sums=None) -
                 pos = pos[kept]
                 rngs = [rng for rng, k in zip(rngs, kept) if k]
                 walk.keep(kept)
+            if not record and not _steps_in_lockstep(process, live):
+                for slot, rng in enumerate(rngs):
+                    times[first + pos[slot]] = _hit_time(process, walk.state(slot), rng, t, steps)
+                break
             span = _BLOCK_UNIFORMS // max(live * walk.width, size if record else 1)
             span = min(block, steps - t, max(1, span))
             block *= 2
@@ -422,7 +555,11 @@ class TrajectoryStats:
 def sample_trajectory(process: Process, horizon: int, seed: int, trial: int = 0) -> np.ndarray:
     """Values of one trial over t = 0..horizon (terminal value is held
     after absorption)."""
-    rng = trial_rng(seed, trial)
+    seed = _seed("sample_trajectory", seed)
+    return _trajectory(process, horizon, trial_rng(seed, trial))
+
+
+def _trajectory(process: Process, horizon: int, rng) -> np.ndarray:
     state = process.sample_initial(rng)
     out = np.empty(horizon + 1)
     out[0] = process.value(state)
@@ -437,6 +574,7 @@ def simulate_trajectory(
     process: Process, horizon: int, trials: int, seed: int
 ) -> TrajectoryStats:
     """Mean value curve over t = 0..horizon with pointwise 99% CIs."""
+    seed = _seed("simulate_trajectory", seed)
     horizon = _whole("simulate_trajectory", "horizon", horizon)
     trials = _whole("simulate_trajectory", "trials", trials)
     if horizon < 0 or trials < 1:
@@ -446,8 +584,8 @@ def simulate_trajectory(
     if _steps_in_lockstep(process, trials):
         _lockstep(process, trials, seed, horizon, (acc, acc2))
     else:
-        for trial in range(trials):
-            vals = sample_trajectory(process, horizon, seed, trial)
+        for rng in _streams(seed, trials):
+            vals = _trajectory(process, horizon, rng)
             acc += vals
             acc2 += vals * vals
     mean = acc / trials
@@ -668,6 +806,7 @@ def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple:
 
 def tail_frequency(process: Process, time_threshold: int, trials: int, seed: int):
     """Empirical Pr[T > threshold] with a Wilson 99% CI."""
+    seed = _seed("tail_frequency", seed)
     threshold = _whole("tail_frequency", "time_threshold", time_threshold)
     if threshold < 0:
         raise ParameterError("threshold must be non-negative")

@@ -373,6 +373,25 @@ def test_bound_command_prints_inf_when_the_double_sum_overflows(capsys):
     assert out.splitlines()[0] == "fss.upper upper_on_ET inf"
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (["h=const:0", "x=1", "y=3"], "h must be positive on [1, 3], got h(1) = 0.0"),
+        (["h=linear:0.1", "x=0", "y=3", "domain=integer"],
+         "h must be positive on [0, 3], got h(0.0) = 0.0"),
+        (["h=linear:1", "x0=1", "t=0", "variant=limited"],
+         "the limited variant needs h~'(0) > 0, got 0.0"),
+    ],
+)
+def test_budget_bounds_name_a_drift_they_cannot_divide_by(params, message, capsys):
+    theorem_id = "budget.var" if "variant=limited" in params else "budget.threshold"
+    code = main(["bound", theorem_id, "--params", *params])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"drift: error: {message}\n"
+
+
 _RUIN_CONFIG = """\
 [process]
 spec = gamblers_ruin(n=30)
@@ -499,6 +518,15 @@ def test_simulate_command(capsys):
     mean = float(out.split()[1])
     assert abs(mean - 2.0) < 0.2
     assert "censored 0/2000" in out
+
+
+def test_simulate_command_names_a_negative_seed(capsys):
+    code = main(["simulate", "geometric(p=0.5)", "--trials", "10", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "drift: error: sample_hitting_times parameter 'seed' must be non-negative, got -1\n"
+    )
 
 
 def test_simulate_command_runs_the_updrift_chain_of_the_acceptance_row(capsys):

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftlab import errors
+from driftlab import errors, montecarlo
 from driftlab.bounds import DriftFunction, fixed_budget_variable, linear_drift
 from driftlab.montecarlo import (
     _FEW_TRIALS,
     _FIRST_BLOCK,
     _chunk_trials,
+    _trial_rngs,
     estimate_drift,
     sample_hitting_times,
     sample_trajectory,
@@ -315,6 +316,82 @@ def test_whole_valued_float_counts_are_taken_on_every_path(trials):
             call()
 
 
+_WORDS = st.integers(min_value=1, max_value=5).flatmap(
+    lambda words: st.integers(min_value=0, max_value=2 ** (32 * words) - 1)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(
+        st.sampled_from([0, 2**32 - 1, 2**32]),
+        st.integers(min_value=0, max_value=5).map(lambda k: 2**128 + k),
+        _WORDS,
+    ),
+    count=st.integers(min_value=1, max_value=50),
+    data=st.data(),
+)
+def test_batched_streams_equal_trial_rng(seed, count, data):
+    first = data.draw(st.integers(min_value=0, max_value=2**32 - 1 - count), label="first")
+    k = data.draw(st.integers(min_value=1, max_value=1000), label="k")
+    for trial, rng in enumerate(_trial_rngs(seed, first, count), first):
+        want = trial_rng(seed, trial)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert rng.random() == want.random()
+        assert rng.integers(k) == want.integers(k)
+        assert rng.binomial(k, 0.3) == want.binomial(k, 0.3)
+        for got, ref in zip(rng.spawn(2) + rng.spawn(2), want.spawn(2) + want.spawn(2)):
+            assert got.bit_generator.state == ref.bit_generator.state
+
+
+def test_trials_from_two_to_the_32_take_trial_rng(monkeypatch):
+    calls = []
+
+    def counted(seed, trial):
+        calls.append(trial)
+        return trial_rng(seed, trial)
+
+    monkeypatch.setattr(montecarlo, "trial_rng", counted)
+    first = 2**32 - 2
+    rngs = _trial_rngs(5, first, 4)
+    assert calls == [2**32, 2**32 + 1]
+    for trial, rng in enumerate(rngs, first):
+        assert rng.bit_generator.state == trial_rng(5, trial).bit_generator.state
+
+
+def test_simulations_build_streams_a_chunk_at_a_time(monkeypatch):
+    def refuse(seed, trial):
+        raise AssertionError(f"trial_rng({seed}, {trial}) called")
+
+    monkeypatch.setattr(montecarlo, "trial_rng", refuse)
+    # the lockstep walker, its hand-off to the loop, and a UniformPick walk
+    # on the loop
+    for process in (_CATALOG["gamblers_ruin"](), _CATALOG["two_sat"]()):
+        sample_hitting_times(process, trials=60, seed=17, cap=10_000)
+        simulate_trajectory(process, horizon=25, trials=60, seed=17)
+
+
+@pytest.mark.parametrize("seed, problem", [
+    (-1, "must be non-negative, got -1"),
+    (1.5, "must be a whole number, got 1.5"),
+])
+def test_every_simulation_entry_names_a_bad_seed(seed, problem):
+    proc = make_simple_chain("coupon", n=5)
+    for spec, call in (
+        ("sample_hitting_times", lambda: sample_hitting_times(proc, 4, seed, cap=10)),
+        ("sample_hitting_times", lambda: simulate_hitting(proc, 100, seed, cap=10)),
+        ("simulate_trajectory", lambda: simulate_trajectory(proc, 10, 4, seed)),
+        ("sample_trajectory", lambda: sample_trajectory(proc, 10, seed)),
+        ("tail_frequency", lambda: tail_frequency(proc, 5, 4, seed)),
+    ):
+        with pytest.raises(errors.ParameterError, match=f"^{spec} parameter 'seed' {problem}$"):
+            call()
+    # a whole float is the integer seed
+    assert np.array_equal(sample_hitting_times(proc, 100, 3.0, 50),
+                          sample_hitting_times(proc, 100, 3, 50))
+    assert np.array_equal(sample_trajectory(proc, 10, 3.0), sample_trajectory(proc, 10, 3))
+
+
 def test_trial_rng_streams_are_distinct():
     a = trial_rng(0, 0).random(4)
     b = trial_rng(0, 1).random(4)
@@ -395,8 +472,12 @@ _CATALOG = {
 
 # (catalog name, trials, cap, horizon) at the lockstep walker's seams: one
 # trial past a chunk, a cap and a horizon that cut a block of draws short,
-# and trajectories whose trials absorb at many different times
+# trajectories whose trials absorb at many different times, a second chunk
+# whose last few live trials go to the loop after its first block, and a
+# loop-finished trial censored at the cap
 _SEAMS = {
+    "tail-in-second-chunk": ("winning_streak", _chunk_trials(1) + _FEW_TRIALS + 1, 10_000, 25),
+    "censored-in-tail": ("gamblers_ruin", _FEW_TRIALS + 1, _FIRST_BLOCK + 5, 25),
     "chunk+3": ("coupon", _chunk_trials(1) + 3, 10_000, 25),
     "EA-chunk+3": ("EA-leadingones", _chunk_trials(8) + 3, 10_000, 25),
     "cut-block": ("gamblers_ruin", 60, _FIRST_BLOCK + 5, 3 * _FIRST_BLOCK + 5),
@@ -444,21 +525,29 @@ def test_lockstep_walker_takes_the_processes_its_step_law_describes():
         "RLS-leadingones": _CATALOG["RLS-leadingones"](),
         "sorting": _CATALOG["sorting"](),
     }
+    # the walker hands a chain's hitting times to the loop once at most
+    # _FEW_TRIALS trials are live; at this cap more are still live, so
+    # every step up to it is a lockstep step
+    trials, cap = 8 * _FEW_TRIALS, 20
     for law, names in lockstep.items():
         for name in names:
             process = _CATALOG[name]()
             assert type(process.step_law) is law, name
-            assert _reference_steps(process, _FEW_TRIALS + 1) == 0, name
+            censored = sample_hitting_times(process, trials, seed=3, cap=cap) < 0
+            assert np.count_nonzero(censored) > _FEW_TRIALS, name
+            assert _reference_steps(process, trials, cap) == 0, name
     for name, process in loop.items():
         assert type(process.step_law) is UniformPick, name
         assert _reference_steps(process, _FEW_TRIALS + 1) > 0, name
-    # a chain's own step is cheaper than a lockstep step of a few trials;
-    # the EA's step on a bit string is not
+    # a chain's own step is cheaper than a lockstep step of a few trials,
+    # also for the last few live trials of a larger job; the EA's step on
+    # a bit string is not
     assert _reference_steps(_CATALOG["coupon"](), _FEW_TRIALS) > 0
+    assert _reference_steps(_CATALOG["gamblers_ruin"](), _FEW_TRIALS + 1) > 0
     assert _reference_steps(_CATALOG["EA-leadingones"](), 1) == 0
 
 
-def _reference_steps(process, trials):
+def _reference_steps(process, trials, cap=50):
     """Calls of Process.step while simulating hitting times and a mean curve."""
     calls = []
 
@@ -467,7 +556,7 @@ def _reference_steps(process, trials):
         return process.step(state, rng)
 
     counted = dataclasses.replace(process, step=step)
-    sample_hitting_times(counted, trials=trials, seed=3, cap=50)
+    sample_hitting_times(counted, trials=trials, seed=3, cap=cap)
     simulate_trajectory(counted, horizon=20, trials=trials, seed=3)
     return len(calls)
 
