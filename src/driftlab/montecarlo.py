@@ -17,6 +17,7 @@ times from where the walker left them.  Hitting times and value curves
 equal the loop's trial by trial.
 """
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -95,36 +96,12 @@ def _seed_pool(seed: int):
     """The pool of SeedSequence(seed, spawn_key=(t,)) before t, its last
     entropy word, is mixed in, and the five hash constants t's four
     hashmix calls use.  The entropy is the seed's words, zero-padded to
-    the pool, then t; none of this depends on t."""
-    entropy = []
-    while True:
-        entropy.append(seed & _M32)
-        seed >>= 32
-        if not seed:
-            break
-    entropy += [0] * (4 - len(entropy))
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = (_MIX_L * x - _MIX_R * y) & _M32
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return np.array(pool, dtype=np.uint32), _constants(const, _MULT_A, 4)
+    the pool, then t; numpy hashes a short seed's missing pool words as
+    0, so the pool is SeedSequence(seed)'s.  Filling and cross-mixing it
+    takes 16 hashmix calls, and each seed word past the fourth 4 more."""
+    calls = 4 * max(4, -(-seed.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _M32
+    return np.random.SeedSequence(seed).pool, _constants(const, _MULT_A, 4)
 
 
 class _TrialSeed(ISpawnableSeedSequence):
@@ -176,12 +153,15 @@ def _streams(seed: int, trials: int):
         yield from _trial_rngs(seed, first, min(_CHUNK, trials - first))
 
 
-def _seed(spec: str, seed) -> int:
-    """A simulation seed as an int; SeedSequence takes whole numbers >= 0."""
-    seed = _whole(spec, "seed", seed)
-    if seed < 0:
-        raise ParameterError(f"{spec} parameter 'seed' must be non-negative, got {seed}")
-    return seed
+def _natural(spec: str, key: str, value, least: int = 0) -> int:
+    """A whole parameter as an int; a fractional one, or one below least,
+    is a ParameterError naming the entry and the parameter.  SeedSequence
+    takes seeds and spawn keys (trials) >= 0."""
+    value = _whole(spec, key, value)
+    if value < least:
+        bound = f"at least {least}" if least else "non-negative"
+        raise ParameterError(f"{spec} parameter {key!r} must be {bound}, got {value}")
+    return value
 
 
 def _hit_time(process: Process, state, rng, t: int, cap: int) -> int:
@@ -199,11 +179,9 @@ def sample_hitting_times(
     process: Process, trials: int, seed: int, cap: int
 ) -> np.ndarray:
     """Per-trial hitting times; censored trials are recorded as -1."""
-    seed = _seed("sample_hitting_times", seed)
-    trials = _whole("sample_hitting_times", "trials", trials)
-    cap = _whole("sample_hitting_times", "cap", cap)
-    if trials < 1 or cap < 1:
-        raise ParameterError("trials and cap must be at least 1")
+    seed = _natural("sample_hitting_times", "seed", seed)
+    trials = _natural("sample_hitting_times", "trials", trials, 1)
+    cap = _natural("sample_hitting_times", "cap", cap, 1)
     if _steps_in_lockstep(process, trials):
         return _lockstep(process, trials, seed, cap)
     times = np.empty(trials, dtype=np.int64)
@@ -255,11 +233,7 @@ class _KernelTable:
     def compile(self, i: int) -> None:
         pairs = self.kernel(self.states[i])
         succ = [self.row(s) for s, _ in pairs]
-        cum = []
-        acc = 0.0
-        for _, p in pairs:
-            acc += p
-            cum.append(acc)
+        cum = list(itertools.accumulate(p for _, p in pairs))
         width = len(succ) + 1
         if width > self.succ.shape[1]:
             grow = width - self.succ.shape[1]
@@ -555,7 +529,9 @@ class TrajectoryStats:
 def sample_trajectory(process: Process, horizon: int, seed: int, trial: int = 0) -> np.ndarray:
     """Values of one trial over t = 0..horizon (terminal value is held
     after absorption)."""
-    seed = _seed("sample_trajectory", seed)
+    seed = _natural("sample_trajectory", "seed", seed)
+    horizon = _natural("sample_trajectory", "horizon", horizon)
+    trial = _natural("sample_trajectory", "trial", trial)
     return _trajectory(process, horizon, trial_rng(seed, trial))
 
 
@@ -574,11 +550,9 @@ def simulate_trajectory(
     process: Process, horizon: int, trials: int, seed: int
 ) -> TrajectoryStats:
     """Mean value curve over t = 0..horizon with pointwise 99% CIs."""
-    seed = _seed("simulate_trajectory", seed)
-    horizon = _whole("simulate_trajectory", "horizon", horizon)
-    trials = _whole("simulate_trajectory", "trials", trials)
-    if horizon < 0 or trials < 1:
-        raise ParameterError("horizon must be >= 0 and trials >= 1")
+    seed = _natural("simulate_trajectory", "seed", seed)
+    horizon = _natural("simulate_trajectory", "horizon", horizon)
+    trials = _natural("simulate_trajectory", "trials", trials, 1)
     acc = np.zeros(horizon + 1)
     acc2 = np.zeros(horizon + 1)
     if _steps_in_lockstep(process, trials):
@@ -627,8 +601,8 @@ def estimate_drift(process: Process, potential, state, samples: int, seed: int):
     Exact from the kernel when present (zero-width CI), otherwise the
     sample mean with a 99% CI.
     """
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
+    seed = _natural("estimate_drift", "seed", seed)
+    samples = _natural("estimate_drift", "samples", samples, 1)
     _, _, est, ci = _one_step_drops(
         process, potential, state, potential.eval(state), samples, trial_rng(seed, 0)
     )
@@ -697,6 +671,8 @@ def verify_condition(
         raise ParameterError(f"{condition_id} requires {' and '.join(missing)}")
     if sense not in (">=", "<="):
         raise ParameterError(f"sense must be '>=' or '<=', got {sense!r}")
+    seed = _natural("verify_condition", "seed", seed)
+    samples = _natural("verify_condition", "samples", samples, 1)
 
     if condition_id == "greed_admitting":
         # property of the drift function itself, checked on a value grid
@@ -806,10 +782,8 @@ def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple:
 
 def tail_frequency(process: Process, time_threshold: int, trials: int, seed: int):
     """Empirical Pr[T > threshold] with a Wilson 99% CI."""
-    seed = _seed("tail_frequency", seed)
-    threshold = _whole("tail_frequency", "time_threshold", time_threshold)
-    if threshold < 0:
-        raise ParameterError("threshold must be non-negative")
+    seed = _natural("tail_frequency", "seed", seed)
+    threshold = _natural("tail_frequency", "time_threshold", time_threshold)
     times = sample_hitting_times(process, trials, seed, cap=max(threshold, 1))
     exceed = int(np.sum((times < 0) | (times > threshold)))
     frac = exceed / trials

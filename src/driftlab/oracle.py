@@ -39,10 +39,10 @@ def _rows_of(kernel) -> np.ndarray:
 
 def _reaching(kernel, seeds: np.ndarray) -> np.ndarray:
     """Mask of the states from which the kernel's pattern leads into the
-    mask seeds (seeds included), by reverse traversal of its entries."""
-    by_col = np.argsort(kernel.indices)
-    entering = _rows_of(kernel)[by_col].tolist()
-    ptr = np.searchsorted(kernel.indices[by_col], np.arange(len(seeds) + 1)).tolist()
+    mask seeds (seeds included), by reverse traversal of its compressed
+    columns."""
+    by_col = kernel.tocsc()
+    entering, ptr = by_col.indices.tolist(), by_col.indptr.tolist()
     reached = seeds.tolist()
     stack = np.flatnonzero(seeds).tolist()
     while stack:

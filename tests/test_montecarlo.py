@@ -291,6 +291,20 @@ def test_parameter_validation():
         simulate_trajectory(proc, horizon=-1, trials=10, seed=0)
     with pytest.raises(errors.ParameterError):
         estimate_drift(proc, identity_potential(), 2, samples=0, seed=0)
+    for spec, call, key, problem in (
+        ("sample_trajectory", lambda: sample_trajectory(proc, -1, 0), "horizon",
+         "must be non-negative, got -1"),
+        ("sample_trajectory", lambda: sample_trajectory(proc, 5, 0, trial=-1), "trial",
+         "must be non-negative, got -1"),
+        ("estimate_drift", lambda: estimate_drift(proc, identity_potential(), 2, -1, 0),
+         "samples", "must be at least 1, got -1"),
+        # an exact kernel draws no samples, but a count below 1 is still wrong
+        ("verify_condition", lambda: verify_condition(
+            proc, identity_potential(), "additive_D", [2], samples=0, delta=0.1),
+         "samples", "must be at least 1, got 0"),
+    ):
+        with pytest.raises(errors.ParameterError, match=f"^{spec} parameter '{key}' {problem}$"):
+            call()
 
 
 @pytest.mark.parametrize("trials", [4, 100])  # the loop and the lockstep walker
@@ -305,18 +319,27 @@ def test_whole_valued_float_counts_are_taken_on_every_path(trials):
     curve = simulate_trajectory(proc, 20.0, float(trials), 1)
     assert np.array_equal(curve.mean, simulate_trajectory(proc, 20, trials, 1).mean)
     assert tail_frequency(proc, 10.0, trials, 1) == tail_frequency(proc, 10, trials, 1)
+    assert np.array_equal(sample_trajectory(proc, 20.0, 1, trial=float(trials)),
+                          sample_trajectory(proc, 20, 1, trial=trials))
+    potential = identity_potential()
+    assert estimate_drift(proc, potential, 2, 100.0, 1) == estimate_drift(proc, potential, 2, 100, 1)
     for call, key in (
         (lambda: sample_hitting_times(proc, trials, 1, cap=2.5), "cap"),
         (lambda: sample_hitting_times(proc, trials + 0.5, 1, cap=10), "trials"),
         (lambda: simulate_trajectory(proc, 20.5, trials, 1), "horizon"),
         (lambda: simulate_trajectory(proc, 20, trials + 0.5, 1), "trials"),
         (lambda: tail_frequency(proc, 2.5, trials, 1), "time_threshold"),
+        (lambda: sample_trajectory(proc, 2.5, 1), "horizon"),
+        (lambda: sample_trajectory(proc, 20, 1, trial=trials + 0.5), "trial"),
+        (lambda: estimate_drift(proc, potential, 2, trials + 0.5, 1), "samples"),
+        (lambda: verify_condition(proc, potential, "additive_D", [2], samples=trials + 0.5,
+                                  delta=0.1), "samples"),
     ):
         with pytest.raises(errors.ParameterError, match=f"parameter '{key}' must be a whole"):
             call()
 
 
-_WORDS = st.integers(min_value=1, max_value=5).flatmap(
+_WORDS = st.integers(min_value=1, max_value=8).flatmap(
     lambda words: st.integers(min_value=0, max_value=2 ** (32 * words) - 1)
 )
 
@@ -383,6 +406,9 @@ def test_every_simulation_entry_names_a_bad_seed(seed, problem):
         ("simulate_trajectory", lambda: simulate_trajectory(proc, 10, 4, seed)),
         ("sample_trajectory", lambda: sample_trajectory(proc, 10, seed)),
         ("tail_frequency", lambda: tail_frequency(proc, 5, 4, seed)),
+        ("estimate_drift", lambda: estimate_drift(proc, identity_potential(), 2, 10, seed)),
+        ("verify_condition", lambda: verify_condition(
+            proc, identity_potential(), "additive_D", [2], seed=seed, delta=0.1)),
     ):
         with pytest.raises(errors.ParameterError, match=f"^{spec} parameter 'seed' {problem}$"):
             call()
