@@ -11,10 +11,11 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .errors import MonotonicityError, ParameterError, StructureError
-from .processes import FiniteChain
+from .processes import FiniteChain, _rows_of
 
 
 @dataclass(frozen=True)
@@ -32,17 +33,10 @@ class HittingTimeSolution:
     residual: float
 
 
-def _rows_of(kernel) -> np.ndarray:
-    """The row of each stored entry of a CSR kernel."""
-    return np.repeat(np.arange(kernel.shape[0]), np.diff(kernel.indptr))
-
-
-def _reaching(kernel, seeds: np.ndarray) -> np.ndarray:
+def _reaching(entering: list, ptr: list, seeds: np.ndarray) -> np.ndarray:
     """Mask of the states from which the kernel's pattern leads into the
-    mask seeds (seeds included), by reverse traversal of its compressed
-    columns."""
-    by_col = kernel.tocsc()
-    entering, ptr = by_col.indices.tolist(), by_col.indptr.tolist()
+    mask seeds (seeds included), by traversal of its reverse pattern:
+    entering[ptr[j]:ptr[j + 1]] are the rows with an entry in column j."""
     reached = seeds.tolist()
     stack = np.flatnonzero(seeds).tolist()
     while stack:
@@ -56,25 +50,95 @@ def _reaching(kernel, seeds: np.ndarray) -> np.ndarray:
 
 def _solve_transient(kernel, keep: np.ndarray, b: np.ndarray):
     """Solve (I - Q) x = b, Q the CSR kernel on the states in the mask keep,
-    by one sparse LU (minimum-degree ordering on A^T + A) at any size.
-    Returns x and the max-norm residual; a singular A is a StructureError."""
+    in stages of A = I - Q's block-triangular form (the form KLU uses:
+    Davis & Palamadai Natarajan, ACM TOMS 37(3), 2010).
+
+    scipy labels strong components sinks first: every edge between
+    components runs from a higher label to a lower one, so one pass over
+    the labels in ascending order meets each component after all it
+    leads to.  A block (a component of several kept states) sits one
+    stage above every component it leads to, a single state at the stage
+    of its highest successor.  A stage first solves its blocks by one
+    sparse LU (minimum-degree ordering on A^T + A; their matrix is block
+    diagonal, so fill stays inside each block), then its single states
+    by one LU in natural order: in descending label order they are upper
+    triangular, which has no fill.  Values already solved enter the
+    right-hand side by a matvec.  A one-component system is one LU on A
+    in state order; an acyclic one is one triangular solve.
+
+    Returns x and the max-norm residual.  A is singular when some kept
+    state cannot leave the kept states; the same pass finds them, and
+    the StructureError names the lowest index as its offender.  A
+    non-finite residual raises one without an offender."""
     n, m = len(keep), int(keep.sum())
-    pos = np.cumsum(keep) - 1
+    count, label = scipy.sparse.csgraph.connected_components(kernel, connection="strong")
     r, c = _rows_of(kernel), kernel.indices
+    lr, lc = label[r], label[c]
+    cross = np.flatnonzero(lr != lc)
+    cross = cross[np.argsort(lr[cross])]
+    ptr = np.searchsorted(lr[cross], np.arange(count + 1)).tolist()
+    succ = lc[cross].tolist()
+    # the components are the whole kernel's: one that keep splits is solved
+    # as one block, and its kept states leave through the others
+    size = np.bincount(label[keep], minlength=count)
+    stage, leaves = [0] * count, (size < np.bincount(label, minlength=count)).tolist()
+    for k, grows in enumerate((size > 1).tolist()):
+        top = 0
+        for j in succ[ptr[k]:ptr[k + 1]]:
+            if stage[j] > top:
+                top = stage[j]
+            leaves[k] = leaves[k] or leaves[j]
+        stage[k] = top + grows
+    if not all(leaves):
+        i = int(np.flatnonzero(~np.array(leaves)[label])[0])
+        raise StructureError(f"singular system: kept state {i} never leaves the kept states",
+                             offender=i)
     inside = keep[r] & keep[c]
-    q_key = r[inside] * n + c[inside]
-    # A's pattern in row-major order: Q's nonzeros and the diagonal
-    key = np.union1d(q_key, np.flatnonzero(keep) * (n + 1))
-    q = np.zeros(key.size)
-    q[np.searchsorted(key, q_key)] = kernel.data[inside]
-    r, c = np.divmod(key, n)
-    indptr = np.searchsorted(pos[r], np.arange(m + 1))
-    a = scipy.sparse.csr_array(((r == c) - q, pos[c], indptr), shape=(m, m))
-    x = scipy.sparse.linalg.spsolve(a, b, permc_spec="MMD_AT_PLUS_A")
-    residual = float(np.max(np.abs(a @ x - b)))
+    r, c, q = r[inside], c[inside], kernel.data[inside]
+
+    # parts in solve order: per stage its blocks, then its single states;
+    # descending labels, each component's states in index order
+    kept = np.flatnonzero(keep)
+    lab = label[kept]
+    part = (2 * np.array(stage) + (size < 2))[lab]
+    order = np.argsort(part * count - lab, kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[kept[order]] = np.arange(m)
+    part = part[order]
+    starts = [0, *(np.flatnonzero(part[1:] != part[:-1]) + 1).tolist(), m]
+
+    # A's pattern in row-major stage order: Q's nonzeros and the diagonal
+    q_key = pos[r] * m + pos[c]
+    key = np.sort(np.concatenate((q_key, np.arange(m) * (m + 1))))
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    a = np.zeros(key.size)
+    a[np.searchsorted(key, q_key)] = q
+    r, c = np.divmod(key, m)
+    a = (r == c) - a
+    # the entries within a row's own part form the LUs, the rest the matvecs
+    own = part[r] == part[c]
+    indptr = np.searchsorted(r[own], np.arange(m + 1))
+    own_a, own_c = a[own], c[own]
+    off = ~own
+    off_r, off_c, off_a = r[off], c[off], a[off]
+    off_ptr = np.searchsorted(off_r, np.arange(m + 1))
+
+    b = b[order]
+    x = np.empty(m)
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        e0, e1, f0, f1 = indptr[lo], indptr[hi], off_ptr[lo], off_ptr[hi]
+        lu = scipy.sparse.csr_array(
+            (own_a[e0:e1], own_c[e0:e1] - lo, indptr[lo:hi + 1] - e0), shape=(hi - lo, hi - lo))
+        rhs = b[lo:hi] - np.bincount(off_r[f0:f1] - lo, off_a[f0:f1] * x[off_c[f0:f1]],
+                                     minlength=hi - lo)
+        x[lo:hi] = scipy.sparse.linalg.spsolve(
+            lu, rhs, permc_spec="NATURAL" if part[lo] & 1 else "MMD_AT_PLUS_A")
+    residual = float(np.max(np.abs(np.bincount(r, a * x[c], minlength=m) - b)))
     if not np.isfinite(residual):
-        raise StructureError("singular system: a kept state never leaves the kept states")
-    return x, residual
+        raise StructureError("singular system: the solve is not finite")
+    out = np.empty(m)
+    out[order] = x
+    return out, residual
 
 
 def hitting_time_exact(chain: FiniteChain) -> HittingTimeSolution:
@@ -82,17 +146,20 @@ def hitting_time_exact(chain: FiniteChain) -> HittingTimeSolution:
     _solve_transient; the lowest-index state reaching no target is named."""
     keep = np.ones(len(chain.states), dtype=bool)
     keep[list(chain.targets)] = False
-    stranded = np.flatnonzero(~_reaching(chain.kernel, ~keep))
-    if stranded.size:
-        state = chain.states[int(stranded[0])]
-        raise StructureError(f"no target reachable from state {state!r}", offender=state)
     t = np.zeros(len(chain.states))
     residual = 0.0
     if keep.any():
-        t[keep], residual = _solve_transient(chain.kernel, keep, np.ones(int(keep.sum())))
+        try:
+            t[keep], residual = _solve_transient(chain.kernel, keep, np.ones(int(keep.sum())))
+        except StructureError as err:
+            if err.offender is None:
+                raise
+            state = chain.states[err.offender]
+            raise StructureError(f"no target reachable from state {state!r}",
+                                 offender=state) from None
     return HittingTimeSolution(
         per_state=dict(zip(chain.states, t.tolist())),
-        from_start=float(sum(p * x for p, x in zip(chain.start, t.tolist()))),
+        from_start=float(sum(p * x for p, x in zip(chain.start.tolist(), t.tolist()))),
         residual=residual,
     )
 
@@ -253,12 +320,14 @@ def visit_probabilities_exact(chain: FiniteChain, levels) -> dict:
             f"level decreases along transition {i!r} -> {j!r}", offender=(i, j)
         )
 
+    by_col = chain.kernel.tocsc()
+    entering, ptr = by_col.indices.tolist(), by_col.indptr.tolist()
     result = {}
     for level in sorted(set(int(x) for x in lv)):
         at = lv == level
         # probability of ever entering the level, from each state below
         # it that can; every other state never enters it
-        keep = (lv < level) & _reaching(chain.kernel, at)
+        keep = (lv < level) & _reaching(entering, ptr, at)
         h = at.astype(float)
         if keep.any():
             h[keep], _ = _solve_transient(chain.kernel, keep, (chain.kernel @ h)[keep])

@@ -101,6 +101,11 @@ class Process:
     step_law: Union[KernelDraw, LeadingOnesEA, UniformPick, None] = None
 
 
+def _rows_of(kernel) -> np.ndarray:
+    """The row of each stored entry of a CSR kernel."""
+    return np.repeat(np.arange(kernel.shape[0]), kernel.indptr[1:] - kernel.indptr[:-1])
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteChain:
     """Explicit finite-state chain with absorbing targets.
@@ -138,16 +143,19 @@ class FiniteChain:
                 state = self.states[int(np.searchsorted(ends, k, "right"))]
                 raise StructureError(f"{what} at state {state!r} is {float(probs[k])!r}",
                                      offender=state)
-        rows = kernel @ np.ones(n)
-        if np.max(np.abs(rows - 1.0)) > 1e-12:
-            bad = int(np.argmax(np.abs(rows - 1.0)))
+        rows = _rows_of(kernel)
+        sums = np.bincount(rows, weights=kernel.data, minlength=n)
+        if np.max(np.abs(sums - 1.0)) > 1e-12:
+            bad = int(np.argmax(np.abs(sums - 1.0)))
             raise StructureError(
-                f"kernel row at {self.states[bad]!r} sums to {float(rows[bad])!r}",
+                f"kernel row at {self.states[bad]!r} sums to {float(sums[bad])!r}",
                 offender=self.states[bad],
             )
         if abs(self.start.sum() - 1.0) > 1e-12:
             raise StructureError("start vector does not sum to 1")
-        diagonal = kernel.diagonal()
+        on_diagonal = kernel.indices == rows
+        diagonal = np.zeros(n)
+        diagonal[rows[on_diagonal]] = kernel.data[on_diagonal]
         for t in sorted(self.targets):
             if not 0 <= t < n:
                 raise StructureError(f"target index {t} outside [0..{n - 1}]", offender=t)

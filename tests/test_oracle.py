@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.csgraph
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from driftlab import errors
 from driftlab.oracle import (
+    _solve_transient,
     birth_death_exact,
     harmonic,
     hitting_time_exact,
@@ -387,3 +390,140 @@ def test_all_target_chain_has_zero_time():
     sol = hitting_time_exact(chain)
     assert sol.from_start == 0.0
     assert sol.per_state == {0: 0.0}
+
+
+def test_finite_chain_names_an_empty_kernel_row():
+    kernel = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(errors.StructureError) as exc:
+        FiniteChain(
+            states=("a", "b"), kernel=kernel, start=np.array([1.0, 0.0]), targets=frozenset({0})
+        )
+    assert str(exc.value) == "kernel row at 'b' sums to 0.0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=40).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+)))
+def test_scipy_labels_strong_components_sinks_first(graph):
+    # the staged solve relies on this order, which scipy's documentation
+    # does not promise (its algorithm is Pearce's, 2005)
+    n, edges = graph
+    rows = np.array([u for u, _ in edges], dtype=int)
+    cols = np.array([v for _, v in edges], dtype=int)
+    pattern = scipy.sparse.csr_array((np.ones(len(edges)), (rows, cols)), shape=(n, n))
+    count, label = scipy.sparse.csgraph.connected_components(pattern, connection="strong")
+    for u, v in edges:
+        assert label[u] >= label[v]
+
+
+@st.composite
+def _staged_chains(draw):
+    """(chain, level of each state) of up to 31 states, built from groups:
+    group 0 is the target, every later group a single state, a single
+    state with a self-loop, or a block of 2-4 states on a cycle, and
+    leads to at least one earlier group.  The groups are the chain's
+    strong components; state indices are shuffled, so that they say
+    nothing about the order of the components, and levels never fall
+    along a transition."""
+    kinds = draw(st.lists(st.sampled_from(["single", "loop", "block"]), min_size=1, max_size=10))
+    weight = st.integers(min_value=1, max_value=9)
+    groups, n = [[0]], 1
+    for kind in kinds:
+        size = draw(st.integers(min_value=2, max_value=4)) if kind == "block" else 1
+        groups.append(list(range(n, n + size)))
+        n += size
+    weights = np.zeros((n, n))
+    weights[0, 0] = 1.0
+    for g, kind in enumerate(kinds, start=1):
+        members = groups[g]
+        for i, s in enumerate(members):
+            if kind == "loop":
+                weights[s, s] += draw(weight)
+            if kind == "block":
+                weights[s, members[(i + 1) % len(members)]] += draw(weight)
+                weights[s, draw(st.sampled_from(members))] += draw(weight)
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            earlier = groups[draw(st.integers(min_value=0, max_value=g - 1))]
+            weights[draw(st.sampled_from(members)), draw(st.sampled_from(earlier))] += draw(weight)
+    spread = draw(st.integers(min_value=1, max_value=3))
+    level = np.repeat([(len(groups) - 1 - g) // spread for g in range(len(groups))],
+                      [len(members) for members in groups])
+    index = np.array(draw(st.permutations(range(n))))
+    kernel = np.zeros((n, n))
+    kernel[np.ix_(index, index)] = weights / weights.sum(axis=1, keepdims=True)
+    levels = np.zeros(n, dtype=int)
+    levels[index] = level
+    chain = FiniteChain(
+        states=tuple(range(n)), kernel=kernel, start=np.full(n, 1.0 / n),
+        targets=frozenset({int(index[0])}),
+    )
+    return chain, levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(_staged_chains())
+def test_staged_solve_matches_a_dense_solve(drawn):
+    chain, levels = drawn
+    kernel = chain.kernel.toarray()
+    n = len(chain.states)
+    keep = np.ones(n, dtype=bool)
+    keep[list(chain.targets)] = False
+    want = np.zeros(n)
+    want[keep] = np.linalg.solve(np.eye(keep.sum()) - kernel[np.ix_(keep, keep)], np.ones(keep.sum()))
+    got = hitting_time_exact(chain).per_state
+    np.testing.assert_allclose([got[s] for s in chain.states], want, rtol=1e-12, atol=0)
+
+    # entering level l from below it: every state below l leaves that set
+    visits = visit_probabilities_exact(chain, dict(zip(chain.states, levels.tolist())))
+    assert sorted(visits) == sorted(set(levels.tolist()))
+    for level, prob in visits.items():
+        below, at = levels < level, levels == level
+        h = at.astype(float)
+        h[below] = np.linalg.solve(np.eye(below.sum()) - kernel[np.ix_(below, below)],
+                                   kernel[np.ix_(below, at)].sum(axis=1))
+        np.testing.assert_allclose(prob, chain.start @ h, rtol=1e-12, atol=0)
+
+
+def test_one_component_chain_is_one_lu_on_a_in_state_order():
+    chain = to_finite_chain(make_simple_chain("gamblers_ruin", n=30))
+    keep = np.ones(len(chain.states), dtype=bool)
+    keep[list(chain.targets)] = False
+    a = scipy.sparse.csr_array(
+        scipy.sparse.eye_array(int(keep.sum())) - chain.kernel[keep][:, keep])
+    want = scipy.sparse.linalg.spsolve(a, np.ones(a.shape[0]), permc_spec="MMD_AT_PLUS_A")
+    got = hitting_time_exact(chain).per_state
+    walk = [s for s, k in zip(chain.states, keep) if k]
+    assert repr([got[s] for s in walk]) == repr(want.tolist())
+
+    # single states that lead into the walk are solved after it, apart
+    # from its LU: "u" -> "v" -> the walk's start, "w" -> "u"
+    m = len(chain.states)
+    kernel = np.zeros((m + 3, m + 3))
+    kernel[:m, :m] = chain.kernel.toarray()
+    kernel[m, m + 1] = kernel[m, m] = 0.5
+    kernel[m + 1, 0] = 1.0
+    kernel[m + 2, m] = kernel[m + 2, 1] = 0.5
+    fed = FiniteChain(
+        states=chain.states + ("u", "v", "w"), kernel=kernel,
+        start=np.append(chain.start, [0.0, 0.0, 0.0]), targets=chain.targets,
+    )
+    got = hitting_time_exact(fed).per_state
+    assert repr([got[s] for s in walk]) == repr(want.tolist())
+    assert got["v"] == 1.0 + got[chain.states[0]]
+    assert got["u"] == pytest.approx(2.0 + got["v"], rel=1e-15)
+
+
+def test_a_singular_kept_block_is_a_structure_error():
+    # 1 <-> 2 never leave {1, 2, 3}; 3 leads into them
+    kernel = scipy.sparse.csr_array(np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.5, 0.5, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.5, 0.0, 0.5, 0.0],
+    ]))
+    keep = np.array([False, True, True, True])
+    with pytest.raises(errors.StructureError, match="singular") as exc:
+        _solve_transient(kernel, keep, np.ones(3))
+    assert exc.value.offender == 1
