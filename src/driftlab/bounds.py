@@ -12,7 +12,6 @@ from math import ceil, exp, inf, log, log2
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.integrate
 
 from .errors import ParameterError
 from .oracle import _double_sum
@@ -285,7 +284,9 @@ def variable_drift_upper(h: DriftFunction, x_min: float, x0: float) -> BoundRepo
     h_min = h.eval(x_min)
     if h_min <= 0:
         raise ParameterError("h must be positive at x_min")
-    integral, _err = scipy.integrate.quad(
+    from scipy.integrate import quad
+
+    integral, _err = quad(
         lambda z: 1.0 / h.eval(z), x_min, x0, epsrel=1e-9, limit=500
     )
     return BoundReport(
@@ -869,8 +870,10 @@ def iterated_budget_threshold(
         return 1.0 / hz
 
     if domain == "continuous":
+        from scipy.integrate import quad
+
         reciprocal(x)  # quad samples only inside the interval
-        integral, _ = scipy.integrate.quad(reciprocal, x, y, epsrel=1e-9, limit=500)
+        integral, _ = quad(reciprocal, x, y, epsrel=1e-9, limit=500)
         t = ceil(integral) if integral > 0 else 0
     elif domain == "integer":
         t = ceil(sum(reciprocal(float(i)) for i in range(int(x), int(y))))

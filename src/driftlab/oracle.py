@@ -10,9 +10,6 @@ from math import exp, inf, log
 from typing import Callable
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 from .errors import MonotonicityError, ParameterError, StructureError
 from .processes import FiniteChain, _rows_of
@@ -48,32 +45,27 @@ def _reaching(entering: list, ptr: list, seeds: np.ndarray) -> np.ndarray:
     return np.array(reached, dtype=bool)
 
 
-def _solve_transient(kernel, keep: np.ndarray, b: np.ndarray):
-    """Solve (I - Q) x = b, Q the CSR kernel on the states in the mask keep,
-    in stages of A = I - Q's block-triangular form (the form KLU uses:
-    Davis & Palamadai Natarajan, ACM TOMS 37(3), 2010).
+def _solve_order(kernel, keep: np.ndarray):
+    """The kept states in the solve order of A = I - Q's block-triangular
+    form (the form KLU uses: Davis & Palamadai Natarajan, ACM TOMS 37(3),
+    2010), as positions among the kept states, and the part of each.
 
     scipy labels strong components sinks first: every edge between
     components runs from a higher label to a lower one, so one pass over
     the labels in ascending order meets each component after all it
     leads to.  A block (a component of several kept states) sits one
     stage above every component it leads to, a single state at the stage
-    of its highest successor.  A stage first solves its blocks by one
-    sparse LU (minimum-degree ordering on A^T + A; their matrix is block
-    diagonal, so fill stays inside each block), then its single states
-    by one LU in natural order: in descending label order they are upper
-    triangular, which has no fill.  Values already solved enter the
-    right-hand side by a matvec.  A one-component system is one LU on A
-    in state order; an acyclic one is one triangular solve.
+    of its highest successor.  Each stage is two parts, its blocks and
+    then its single states in descending label order, so that every
+    entry of A outside a row's own part lies in an earlier part.
 
-    Returns x and the max-norm residual.  A is singular when some kept
-    state cannot leave the kept states; the same pass finds them, and
-    the StructureError names the lowest index as its offender.  A
-    non-finite residual raises one without an offender."""
-    n, m = len(keep), int(keep.sum())
+    A is singular when some kept state cannot leave the kept states; the
+    same pass finds them, and the StructureError names the lowest index
+    as its offender."""
+    import scipy.sparse.csgraph
+
     count, label = scipy.sparse.csgraph.connected_components(kernel, connection="strong")
-    r, c = _rows_of(kernel), kernel.indices
-    lr, lc = label[r], label[c]
+    lr, lc = label[_rows_of(kernel.indptr)], label[kernel.indices]
     cross = np.flatnonzero(lr != lc)
     cross = cross[np.argsort(lr[cross])]
     ptr = np.searchsorted(lr[cross], np.arange(count + 1)).tolist()
@@ -93,47 +85,71 @@ def _solve_transient(kernel, keep: np.ndarray, b: np.ndarray):
         i = int(np.flatnonzero(~np.array(leaves)[label])[0])
         raise StructureError(f"singular system: kept state {i} never leaves the kept states",
                              offender=i)
-    inside = keep[r] & keep[c]
-    r, c, q = r[inside], c[inside], kernel.data[inside]
-
-    # parts in solve order: per stage its blocks, then its single states;
     # descending labels, each component's states in index order
-    kept = np.flatnonzero(keep)
-    lab = label[kept]
+    lab = label[keep]
     part = (2 * np.array(stage) + (size < 2))[lab]
     order = np.argsort(part * count - lab, kind="stable")
-    pos = np.empty(n, dtype=np.int64)
-    pos[kept[order]] = np.arange(m)
-    part = part[order]
-    starts = [0, *(np.flatnonzero(part[1:] != part[:-1]) + 1).tolist(), m]
+    return order, part[order]
 
-    # A's pattern in row-major stage order: Q's nonzeros and the diagonal
-    q_key = pos[r] * m + pos[c]
+
+def _ordered_system(kernel, keep: np.ndarray, order: np.ndarray):
+    """A = I - Q as CSR arrays (indptr, indices, data), its rows and
+    columns the kept states in the given order: Q's nonzeros and the
+    diagonal, each row's entries by column."""
+    m = order.size
+    r, c = _rows_of(kernel.indptr), kernel.indices
+    inside = keep[r] & keep[c]
+    pos = np.empty(len(keep), dtype=np.int64)
+    pos[np.flatnonzero(keep)[order]] = np.arange(m)
+    q_key = pos[r[inside]] * m + pos[c[inside]]
     key = np.sort(np.concatenate((q_key, np.arange(m) * (m + 1))))
     key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     a = np.zeros(key.size)
-    a[np.searchsorted(key, q_key)] = q
+    a[np.searchsorted(key, q_key)] = kernel.data[inside]
     r, c = np.divmod(key, m)
-    a = (r == c) - a
-    # the entries within a row's own part form the LUs, the rest the matvecs
-    own = part[r] == part[c]
-    indptr = np.searchsorted(r[own], np.arange(m + 1))
-    own_a, own_c = a[own], c[own]
-    off = ~own
-    off_r, off_c, off_a = r[off], c[off], a[off]
-    off_ptr = np.searchsorted(off_r, np.arange(m + 1))
+    return np.searchsorted(r, np.arange(m + 1)), c, (r == c) - a
 
+
+def _solve_transient(kernel, keep: np.ndarray, b: np.ndarray):
+    """Solve (I - Q) x = b, Q the CSR kernel on the states in the mask keep,
+    part by part in _solve_order.
+
+    A part of blocks is solved by one sparse LU (minimum-degree ordering
+    on A^T + A; its matrix is block diagonal, so fill stays inside each
+    block), a part of single states by one LU in natural order: they are
+    upper triangular, which has no fill.  Values already solved enter the
+    right-hand side by a matvec.  A one-component system is one LU on A
+    in state order; an acyclic one is one triangular solve.
+
+    Returns x and the max-norm residual.  A singular A raises
+    _solve_order's StructureError; a non-finite residual raises one
+    without an offender."""
+    import scipy.sparse.linalg
+
+    order, part = _solve_order(kernel, keep)
+    m = order.size
+    starts = [0, *(np.flatnonzero(part[1:] != part[:-1]) + 1).tolist(), m]
+    indptr, c, a = _ordered_system(kernel, keep, order)
     b = b[order]
     x = np.empty(m)
     for lo, hi in zip(starts[:-1], starts[1:]):
-        e0, e1, f0, f1 = indptr[lo], indptr[hi], off_ptr[lo], off_ptr[hi]
-        lu = scipy.sparse.csr_array(
-            (own_a[e0:e1], own_c[e0:e1] - lo, indptr[lo:hi + 1] - e0), shape=(hi - lo, hi - lo))
-        rhs = b[lo:hi] - np.bincount(off_r[f0:f1] - lo, off_a[f0:f1] * x[off_c[f0:f1]],
-                                     minlength=hi - lo)
+        e0, e1 = indptr[lo], indptr[hi]
+        ptr, cols, vals = indptr[lo:hi + 1] - e0, c[e0:e1] - lo, a[e0:e1]
+        rhs = b[lo:hi]
+        # entries in earlier parts (columns below lo) enter the right-hand
+        # side; a part that has none is its own LU matrix, with no copy
+        early = cols < 0
+        if early.any():
+            rows = _rows_of(ptr)
+            rhs = rhs - np.bincount(rows[early], vals[early] * x[cols[early] + lo],
+                                    minlength=hi - lo)
+            own = ~early
+            ptr = np.searchsorted(rows[own], np.arange(hi - lo + 1))
+            cols, vals = cols[own], vals[own]
+        lu = scipy.sparse.csr_array((vals, cols, ptr), shape=(hi - lo, hi - lo))
         x[lo:hi] = scipy.sparse.linalg.spsolve(
             lu, rhs, permc_spec="NATURAL" if part[lo] & 1 else "MMD_AT_PLUS_A")
-    residual = float(np.max(np.abs(np.bincount(r, a * x[c], minlength=m) - b)))
+    residual = float(np.max(np.abs(np.bincount(_rows_of(indptr), a * x[c], minlength=m) - b)))
     if not np.isfinite(residual):
         raise StructureError("singular system: the solve is not finite")
     out = np.empty(m)
@@ -312,7 +328,7 @@ def visit_probabilities_exact(chain: FiniteChain, levels) -> dict:
         level_of = lambda s: table[s]
 
     lv = np.array([level_of(s) for s in chain.states])
-    r, c = _rows_of(chain.kernel), chain.kernel.indices
+    r, c = _rows_of(chain.kernel.indptr), chain.kernel.indices
     down = np.flatnonzero(lv[c] < lv[r])
     if down.size:
         i, j = chain.states[r[down[0]]], chain.states[c[down[0]]]

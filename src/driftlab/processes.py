@@ -15,7 +15,6 @@ from math import comb
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse
 
 from .errors import CapacityError, ParameterError, StructureError, UnsupportedError
 
@@ -101,9 +100,9 @@ class Process:
     step_law: Union[KernelDraw, LeadingOnesEA, UniformPick, None] = None
 
 
-def _rows_of(kernel) -> np.ndarray:
-    """The row of each stored entry of a CSR kernel."""
-    return np.repeat(np.arange(kernel.shape[0]), kernel.indptr[1:] - kernel.indptr[:-1])
+def _rows_of(indptr: np.ndarray) -> np.ndarray:
+    """The row of each stored entry of CSR arrays with this indptr."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,11 +116,13 @@ class FiniteChain:
     """
 
     states: tuple
-    kernel: scipy.sparse.csr_array
+    kernel: "scipy.sparse.csr_array"
     start: np.ndarray
     targets: frozenset
 
     def __post_init__(self):
+        import scipy.sparse
+
         n = len(self.states)
         kernel = self.kernel
         if kernel.shape != (n, n):
@@ -143,7 +144,7 @@ class FiniteChain:
                 state = self.states[int(np.searchsorted(ends, k, "right"))]
                 raise StructureError(f"{what} at state {state!r} is {float(probs[k])!r}",
                                      offender=state)
-        rows = _rows_of(kernel)
+        rows = _rows_of(kernel.indptr)
         sums = np.bincount(rows, weights=kernel.data, minlength=n)
         if np.max(np.abs(sums - 1.0)) > 1e-12:
             bad = int(np.argmax(np.abs(sums - 1.0)))
@@ -906,10 +907,15 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
             queue.append(state)
     entries: list[tuple[int, float]] = []
     ends = [0]
+    targets = []
     # states are popped in index order, so their rows are appended in order
     while queue:
         state = queue.popleft()
-        row = [(state, 1.0)] if process.is_target(state) else process.exact_kernel(state)
+        if process.is_target(state):
+            targets.append(len(ends) - 1)
+            row = [(state, 1.0)]
+        else:
+            row = process.exact_kernel(state)
         total = sum(p for _, p in row)
         if abs(total - 1.0) > _KERNEL_TOL:
             raise StructureError(
@@ -920,19 +926,22 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
         for succ, p in row:
             if p == 0.0:
                 continue
-            if succ not in index:
+            j = index.get(succ)
+            if j is None:
                 if len(order) >= max_states:
                     raise CapacityError(
                         f"state space exceeds max_states={max_states}",
                         count=len(order) + 1,
                     )
-                index[succ] = len(order)
+                j = index[succ] = len(order)
                 order.append(succ)
                 queue.append(succ)
             # a successor listed twice adds up in row order
-            row_sum[index[succ]] = row_sum.get(index[succ], 0.0) + p
+            row_sum[j] = row_sum.get(j, 0.0) + p
         entries += sorted(row_sum.items())
         ends.append(len(entries))
+
+    import scipy.sparse
 
     m = len(order)
     kernel = scipy.sparse.csr_array(
@@ -941,9 +950,8 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
     start = np.zeros(m)
     for state, p in process.initial_support:
         start[index[state]] += p
-    targets = frozenset(i for i, s in enumerate(order) if process.is_target(s))
     return FiniteChain(
-        states=tuple(order), kernel=kernel, start=start, targets=targets
+        states=tuple(order), kernel=kernel, start=start, targets=frozenset(targets)
     )
 
 

@@ -1,6 +1,7 @@
 """Process catalog: kernels, chains, instances and serialization."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -61,6 +62,19 @@ def test_kernel_rows_are_distributions():
         assert np.allclose(chain.kernel.sum(axis=1), 1.0, atol=1e-12)
         for t in chain.targets:
             assert chain.kernel[t, t] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_to_finite_chain_asks_is_target_once_per_state():
+    proc = make_simple_chain("coupon", n=6)
+    asked = []
+
+    def is_target(state):
+        asked.append(state)
+        return proc.is_target(state)
+
+    chain = to_finite_chain(dataclasses.replace(proc, is_target=is_target))
+    assert asked == list(chain.states)
+    assert chain.targets == to_finite_chain(proc).targets
 
 
 def test_chain_capacity_error_carries_count():
