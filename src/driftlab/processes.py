@@ -54,10 +54,14 @@ class UniformPick:
     integers(1) draws nothing), then rng.integers(len(group)); with no
     groups the state stays and nothing is drawn.  The exact kernel gives
     each entry mass 1/(len(groups)·len(group)), summed per successor in
-    pick order."""
+    pick order.  target(state) is the target predicate; None means a
+    state is a target exactly when it has no groups.  groups must be a
+    pure function of the state, so the process may compute them once
+    per state for its target, its step and its kernel."""
 
     groups: Callable[[State], Sequence[Sequence]]
     move: Callable[[State, Any], State]
+    target: Optional[Callable[[State], bool]] = None
 
 
 @dataclass(frozen=True)
@@ -84,10 +88,12 @@ class Process:
         How step uses its randomness.  montecarlo steps many trials at
         once with the same draws for KernelDraw (simple and distance
         chains) and LeadingOnesEA; a UniformPick walk (recolour, vertex
-        cover, 2-SAT, sorting, RLS on bit strings) gets both step and
-        exact_kernel from its law and is stepped trial by trial, as is
-        None, where only step itself says.  lift keeps it; a process
-        given another step must drop it.
+        cover, 2-SAT, sorting, RLS on bit strings) gets is_target, step
+        and exact_kernel from its law and is stepped trial by trial, as
+        is None, where only step itself says.  Its target is the law's
+        (no groups left, unless the law names another), and the three
+        compute the groups of a state once between them.  lift keeps
+        it; a process given another step must drop it.
     """
 
     name: str
@@ -273,37 +279,47 @@ def _chain_process(name, kernel_map, start_pairs, value, is_target) -> Process:
     )
 
 
-def _pick_step(law: UniformPick, state, rng):
-    groups = law.groups(state)
-    if not groups:
-        return state
-    group = groups[int(rng.integers(len(groups)))] if len(groups) > 1 else groups[0]
-    return law.move(state, group[int(rng.integers(len(group)))])
-
-
-def _pick_kernel(law: UniformPick, state):
-    groups = law.groups(state)
-    if not groups:
-        return [(state, 1.0)]
-    row: dict = {}
-    for group in groups:
-        p = 1.0 / (len(groups) * len(group))
-        for entry in group:
-            succ = law.move(state, entry)
-            row[succ] = row.get(succ, 0.0) + p
-    return list(row.items())
-
-
-def _pick_process(name, law: UniformPick, sample_initial, value, is_target,
+def _pick_process(name, law: UniformPick, sample_initial, value,
                   initial_support=None) -> Process:
-    """Assemble a Process whose step and exact kernel both follow law."""
+    """Assemble a Process whose target, step and exact kernel all follow
+    law.  They share one memo of law.groups for the state asked about
+    last, matched by identity: the loop asks is_target and then step of
+    a state, to_finite_chain asks is_target and then exact_kernel, so
+    each visited state's groups are computed once.  The memo holds its
+    state, so no other state can take that state's id."""
+    last = [object(), ()]
+
+    def groups(state):
+        if state is not last[0]:
+            last[:] = state, law.groups(state)
+        return last[1]
+
+    def step(state, rng):
+        found = groups(state)
+        if not found:
+            return state
+        group = found[int(rng.integers(len(found)))] if len(found) > 1 else found[0]
+        return law.move(state, group[int(rng.integers(len(group)))])
+
+    def exact_kernel(state):
+        found = groups(state)
+        if not found:
+            return [(state, 1.0)]
+        row: dict = {}
+        for group in found:
+            p = 1.0 / (len(found) * len(group))
+            for entry in group:
+                succ = law.move(state, entry)
+                row[succ] = row.get(succ, 0.0) + p
+        return list(row.items())
+
     return Process(
         name=name,
         sample_initial=sample_initial,
-        step=lambda state, rng: _pick_step(law, state, rng),
+        step=step,
         value=value,
-        is_target=is_target,
-        exact_kernel=lambda state: _pick_kernel(law, state),
+        is_target=law.target or (lambda state: not groups(state)),
+        exact_kernel=exact_kernel,
         initial_support=initial_support,
         step_law=law,
     )
@@ -691,8 +707,8 @@ def make_ea_process(
             return cand if fitness_bits(cand) >= fitness_bits(bits) else bits
 
         return _pick_process(
-            name, UniformPick(lambda bits: every_bit, flip),
-            sample_initial, value, is_target, support,
+            name, UniformPick(lambda bits: every_bit, flip, is_target),
+            sample_initial, value, support,
         )
 
     def step(bits, rng):
@@ -738,8 +754,9 @@ def make_graph_process(kind: str, instance: GraphInstance) -> Process:
     exists, one is chosen uniformly and one of its vertices (uniform)
     has its color flipped.  The value is the agreement count with the
     planted coloring on the union U of its first two classes, and the
-    state is a target once agreement is total or zero on U, or no
-    monochromatic triangle remains.
+    state is a target once no monochromatic triangle remains.  Total or
+    zero agreement on U implies that, because every triangle has one
+    vertex in each planted class.
 
     vertex_cover: states are (vertices chosen so far, chosen set);
     while an uncovered edge exists, one is chosen uniformly and a
@@ -777,14 +794,9 @@ def _make_recolour(instance: GraphInstance) -> Process:
         # generic value <= 0 target convention does not apply here
         return float(agreement(coloring))
 
-    def is_target(coloring):
-        # a clean split of U leaves no monochromatic triangle, because
-        # every triangle has one vertex in each planted class
-        return not mono(coloring)
-
-    sample_initial, _ = _uniform_bits(n, (0, 1))
+    sample_initial, support = _uniform_bits(n, (0, 1))
     return _pick_process(
-        f"recolour(n={n})", UniformPick(mono, _bit_flip), sample_initial, value, is_target,
+        f"recolour(n={n})", UniformPick(mono, _bit_flip), sample_initial, value, support,
     )
 
 
@@ -801,9 +813,6 @@ def _make_vertex_cover(instance: GraphInstance) -> Process:
     def value(state):
         return float(len(cover - state[1])) if uncovered(state) else 0.0
 
-    def is_target(state):
-        return not uncovered(state)
-
     def add(state, v):
         count, chosen = state
         return (count + 1, chosen | {v})
@@ -811,7 +820,7 @@ def _make_vertex_cover(instance: GraphInstance) -> Process:
     start = (0, frozenset())
     return _pick_process(
         f"vertex_cover(n={instance.n})", UniformPick(uncovered, add),
-        lambda rng: start, value, is_target, ((start, 1.0),),
+        lambda rng: start, value, ((start, 1.0),),
     )
 
 
@@ -838,16 +847,13 @@ def make_two_sat_process(instance: CnfInstance) -> Process:
         agree = sum(1 for a, b in zip(assignment, planted) if a == b)
         return float(n - agree)
 
-    def is_target(assignment):
-        return not unsat_variables(assignment)
-
     def flip(assignment, var):
         return assignment[:var] + (not assignment[var],) + assignment[var + 1:]
 
     sample_initial, support = _uniform_bits(n, (False, True))
     return _pick_process(
         f"two_sat(n={n},m={len(clauses)})", UniformPick(unsat_variables, flip),
-        sample_initial, value, is_target, support,
+        sample_initial, value, support,
     )
 
 
@@ -874,10 +880,10 @@ def make_sorting_process(n: int, start: tuple) -> Process:
         lst[i], lst[j] = lst[j], lst[i]
         return tuple(lst)
 
+    law = UniformPick(lambda perm: every_pair, swap_inversion, lambda perm: inversions(perm) == 0)
     return _pick_process(
-        f"sorting(n={n})", UniformPick(lambda perm: every_pair, swap_inversion),
-        lambda rng: start, lambda perm: float(inversions(perm)),
-        lambda perm: inversions(perm) == 0, ((start, 1.0),),
+        f"sorting(n={n})", law, lambda rng: start, lambda perm: float(inversions(perm)),
+        ((start, 1.0),),
     )
 
 
@@ -1016,82 +1022,3 @@ def planted_2sat(n: int, m: int, seed: int) -> CnfInstance:
             lits[fix] = (var, assignment[var])
         clauses.append((lits[0], lits[1]))
     return CnfInstance(n=n, clauses=tuple(clauses), assignment=assignment)
-
-
-# ---------------------------------------------------------------------------
-# Text serialization
-# ---------------------------------------------------------------------------
-
-def graph_to_text(instance: GraphInstance) -> str:
-    """Line format: header ``n m``, then one ``u v`` line per edge, then
-    optional ``c coloring ...`` / ``c cover ...`` witness lines."""
-    lines = [f"{instance.n} {len(instance.edges)}"]
-    lines += [f"{u} {v}" for (u, v) in instance.edges]
-    if instance.coloring is not None:
-        lines.append("c coloring " + " ".join(str(c) for c in instance.coloring))
-    if instance.cover is not None:
-        lines.append("c cover " + " ".join(str(v) for v in sorted(instance.cover)))
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> GraphInstance:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise StructureError("empty graph text")
-    n, m = (int(x) for x in lines[0].split())
-    edges = []
-    coloring = None
-    cover = None
-    for ln in lines[1:]:
-        if ln.startswith("c coloring "):
-            coloring = tuple(int(x) for x in ln.split()[2:])
-        elif ln.startswith("c cover "):
-            cover = frozenset(int(x) for x in ln.split()[2:])
-        else:
-            u, v = (int(x) for x in ln.split())
-            edges.append((u, v))
-    if len(edges) != m:
-        raise StructureError(f"header announces {m} edges, found {len(edges)}")
-    return GraphInstance(n=n, edges=tuple(edges), coloring=coloring, cover=cover)
-
-
-def cnf_to_dimacs(instance: CnfInstance) -> str:
-    """DIMACS-compatible text; the planted assignment is stored in a
-    ``c planted`` comment as signed variable numbers."""
-    lines = [
-        "c planted "
-        + " ".join(str(i + 1 if val else -(i + 1)) for i, val in enumerate(instance.assignment)),
-        f"p cnf {instance.n} {len(instance.clauses)}",
-    ]
-    for clause in instance.clauses:
-        lits = [(var + 1) if pol else -(var + 1) for (var, pol) in clause]
-        lines.append(f"{lits[0]} {lits[1]} 0")
-    return "\n".join(lines) + "\n"
-
-
-def cnf_from_dimacs(text: str) -> CnfInstance:
-    n = None
-    clauses = []
-    planted = None
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        if ln.startswith("c planted "):
-            lits = [int(x) for x in ln.split()[2:]]
-            planted = tuple(x > 0 for x in sorted(lits, key=abs))
-        elif ln.startswith("c"):
-            continue
-        elif ln.startswith("p cnf"):
-            parts = ln.split()
-            n = int(parts[2])
-        else:
-            lits = [int(x) for x in ln.split()]
-            if lits[-1] == 0:
-                lits = lits[:-1]
-            if len(lits) != 2:
-                raise StructureError(f"clause line {ln!r} is not 2-CNF")
-            clauses.append(tuple((abs(x) - 1, x > 0) for x in lits))
-    if n is None or planted is None:
-        raise StructureError("missing problem line or planted assignment")
-    return CnfInstance(n=n, clauses=tuple(clauses), assignment=planted)

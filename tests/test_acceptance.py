@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from driftlab import acceptance
+from driftlab import acceptance, processes
 from driftlab.cli import main
+from driftlab.oracle import hitting_time_exact
 from driftlab.report import HOLDS, rows_to_csv
 
 _SEED = 0
@@ -41,3 +42,24 @@ def test_golden_report_covers_every_criterion():
 def test_suite_quick_output_is_byte_identical(capsys):
     assert main(["suite", "quick", "--seed", "3"]) == 0
     assert capsys.readouterr().out == (_DATA / "suite_quick_seed3.csv").read_text()
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_pick_walk_bounds_hold_exactly_at_enumerable_n(n):
+    # recolour_walk and two_sat_walk simulate n = 30 and n = 20; on the
+    # same generators at n = 9 and 12 every state's exact E[T] is within
+    # the additive bounds those rows check, 3n^2/8 and n^2
+    walks = [
+        (3.0 * n * n / 8.0, processes.make_graph_process(
+            "recolour", processes.random_3colorable_graph(n, 0.5, seed=600 + i)))
+        for i in range(3)
+    ] + [
+        (float(n * n), processes.make_two_sat_process(
+            processes.planted_2sat(n, 2 * n, seed=800 + i)))
+        for i in range(3)
+    ]
+    for bound, proc in walks:
+        chain = processes.to_finite_chain(proc)
+        assert len(chain.states) == 2**n
+        worst = max(hitting_time_exact(chain).per_state.values())
+        assert worst <= bound, (proc.name, worst, bound)

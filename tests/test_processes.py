@@ -1,4 +1,4 @@
-"""Process catalog: kernels, chains, instances and serialization."""
+"""Process catalog: kernels, chains, instances and step laws."""
 
 import copy
 import dataclasses
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from driftlab import errors, processes
-from driftlab.montecarlo import trial_rng
+from driftlab.montecarlo import sample_hitting_times, trial_rng
 from driftlab.processes import (
     CnfInstance,
     GraphInstance,
@@ -240,7 +240,13 @@ _PICK_WALKS = {
         "recolour", processes.random_3colorable_graph(9, 0.6, seed=1)
     ),
     "sorting": lambda: make_sorting_process(5, (5, 4, 3, 2, 1)),
+    "vertex_cover": lambda: make_graph_process("vertex_cover", GraphInstance(
+        n=6, edges=((0, 1), (0, 2), (0, 3), (3, 4), (4, 5)), cover=frozenset({0, 4})
+    )),
+    "RLS-leadingones": lambda: make_ea_process("RLS", "leadingones", n=6),
 }
+# the walks whose target is "no groups left"; sorting and RLS name their own
+_NO_GROUPS_TARGET = ("two_sat", "recolour", "vertex_cover")
 
 
 @pytest.mark.parametrize("name", list(_PICK_WALKS))
@@ -274,7 +280,51 @@ def test_pick_walk_step_and_kernel_follow_its_law(name):
             assert rng.bit_generator.state == clone.bit_generator.state
             assert dict(proc.exact_kernel(state))[succ] > 0
             state = succ
-    assert (several_groups > 0) == (name == "recolour")
+    assert (several_groups > 0) == (name in ("recolour", "vertex_cover"))
+
+
+@pytest.mark.parametrize("name", list(_PICK_WALKS))
+def test_pick_walk_takes_its_target_from_its_law(name):
+    proc = _PICK_WALKS[name]()
+    law = proc.step_law
+    assert (law.target is None) == (name in _NO_GROUPS_TARGET)
+    if law.target is not None:
+        assert proc.is_target is law.target
+    hits = 0
+    for trial in range(20):
+        rng = trial_rng(17, trial)
+        state = proc.sample_initial(rng)
+        for _ in range(200):
+            if law.target is None:
+                assert proc.is_target(state) == (not law.groups(state))
+            else:
+                # every pair or every bit stays a group at the target
+                assert law.groups(state)
+            if proc.is_target(state):
+                hits += 1
+                break
+            state = proc.step(state, rng)
+    assert hits > 0
+
+
+def test_pick_walk_scans_groups_once_per_visited_state():
+    # a walk on 0..4 that steps down or up (only down at 4) and stops at
+    # 0, where it has no groups; its target, step and kernel share the
+    # groups of each state
+    calls = []
+
+    def groups(d):
+        calls.append(d)
+        return () if d == 0 else ((-1, 1),) if d < 4 else ((-1,),)
+
+    law = UniformPick(groups, lambda d, step: d + step)
+    proc = processes._pick_process("updown", law, lambda rng: 2, float, ((2, 1.0),))
+    times = sample_hitting_times(proc, 30, seed=4, cap=10_000)
+    assert times.min() >= 1
+    assert len(calls) == int((times + 1).sum())
+    calls.clear()
+    chain = to_finite_chain(proc)
+    assert calls == list(chain.states) == [2, 1, 3, 0, 4]
 
 
 def test_sorting_row_is_the_hand_enumeration_over_pairs():
@@ -368,22 +418,6 @@ def test_cnf_instance_rejects_violated_planted():
     clause = (((0, True), (1, True)),)
     with pytest.raises(errors.StructureError):
         CnfInstance(n=2, clauses=clause, assignment=(False, False))
-
-
-def test_graph_serialization_round_trip():
-    inst = processes.random_3colorable_graph(9, 0.4, seed=1)
-    back = processes.graph_from_text(processes.graph_to_text(inst))
-    assert back.n == inst.n
-    assert back.edges == inst.edges
-    assert back.coloring == inst.coloring
-
-
-def test_cnf_serialization_round_trip():
-    inst = processes.planted_2sat(6, 12, seed=2)
-    back = processes.cnf_from_dimacs(processes.cnf_to_dimacs(inst))
-    assert back.n == inst.n
-    assert back.clauses == inst.clauses
-    assert back.assignment == inst.assignment
 
 
 def test_value_hits_zero_exactly_at_target_for_distance_chains():
