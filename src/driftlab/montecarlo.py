@@ -687,16 +687,16 @@ def verify_condition(
 
     rng = trial_rng(seed, 0)
     sampled_states = state_set is None
-    if sampled_states:
-        states = _sample_states(process, rng)
-    else:
-        states = [s for s in state_set if not process.is_target(s)]
+    states = _sample_states(process, rng) if sampled_states else state_set
 
     exact = process.exact_kernel is not None
     tol = 1e-9
     slack = tol if exact else 0.0  # an exact CI is zero-width: allow for rounding
     per_state = []
     for state in states:
+        # skipped here, not up front, so a memo of the last state's groups hits
+        if process.is_target(state):
+            continue
         base = potential.eval(state)
         drops, probs, mean_drop, ci = _one_step_drops(
             process, potential, state, base, samples, rng

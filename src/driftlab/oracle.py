@@ -30,21 +30,6 @@ class HittingTimeSolution:
     residual: float
 
 
-def _reaching(entering: list, ptr: list, seeds: np.ndarray) -> np.ndarray:
-    """Mask of the states from which the kernel's pattern leads into the
-    mask seeds (seeds included), by traversal of its reverse pattern:
-    entering[ptr[j]:ptr[j + 1]] are the rows with an entry in column j."""
-    reached = seeds.tolist()
-    stack = np.flatnonzero(seeds).tolist()
-    while stack:
-        j = stack.pop()
-        for i in entering[ptr[j]:ptr[j + 1]]:
-            if not reached[i]:
-                reached[i] = True
-                stack.append(i)
-    return np.array(reached, dtype=bool)
-
-
 def _solve_order(kernel, keep: np.ndarray):
     """The kept states in the solve order of A = I - Q's block-triangular
     form (the form KLU uses: Davis & Palamadai Natarajan, ACM TOMS 37(3),
@@ -110,28 +95,37 @@ def _ordered_system(kernel, keep: np.ndarray, order: np.ndarray):
     return np.searchsorted(r, np.arange(m + 1)), c, (r == c) - a
 
 
+def _row_sums(rows: np.ndarray, vals: np.ndarray, xs: np.ndarray, n: int) -> np.ndarray:
+    """For each of n rows, the sum of vals times xs over its entries, in
+    entry order, for each of xs's k columns: an (n, k) array.  A bincount
+    a column costs small parts less than building a scipy sparse product."""
+    return np.column_stack([np.bincount(rows, vals * col, minlength=n) for col in xs.T])
+
+
 def _solve_transient(kernel, keep: np.ndarray, b: np.ndarray):
-    """Solve (I - Q) x = b, Q the CSR kernel on the states in the mask keep,
-    part by part in _solve_order.
+    """Solve (I - Q) x = b, Q the CSR kernel on the states in the mask keep
+    and b a vector or an (m, k) matrix of k right-hand sides, part by part
+    in _solve_order.
 
     A part of blocks is solved by one sparse LU (minimum-degree ordering
     on A^T + A; its matrix is block diagonal, so fill stays inside each
     block), a part of single states by one LU in natural order: they are
     upper triangular, which has no fill.  Values already solved enter the
-    right-hand side by a matvec.  A one-component system is one LU on A
-    in state order; an acyclic one is one triangular solve.
+    right-hand side by the part's sums over its earlier columns.  A
+    one-component system is one LU on A in state order; an acyclic one is
+    one triangular solve.
 
-    Returns x and the max-norm residual.  A singular A raises
-    _solve_order's StructureError; a non-finite residual raises one
-    without an offender."""
+    Returns x, shaped as b, and the max-norm residual.  A singular A
+    raises _solve_order's StructureError; a non-finite residual raises
+    one without an offender."""
     import scipy.sparse.linalg
 
     order, part = _solve_order(kernel, keep)
     m = order.size
     starts = [0, *(np.flatnonzero(part[1:] != part[:-1]) + 1).tolist(), m]
     indptr, c, a = _ordered_system(kernel, keep, order)
-    b = b[order]
-    x = np.empty(m)
+    shape, b = b.shape, b[order].reshape(m, -1)
+    x = np.empty(b.shape)
     for lo, hi in zip(starts[:-1], starts[1:]):
         e0, e1 = indptr[lo], indptr[hi]
         ptr, cols, vals = indptr[lo:hi + 1] - e0, c[e0:e1] - lo, a[e0:e1]
@@ -141,20 +135,19 @@ def _solve_transient(kernel, keep: np.ndarray, b: np.ndarray):
         early = cols < 0
         if early.any():
             rows = _rows_of(ptr)
-            rhs = rhs - np.bincount(rows[early], vals[early] * x[cols[early] + lo],
-                                    minlength=hi - lo)
+            rhs = rhs - _row_sums(rows[early], vals[early], x[cols[early] + lo], hi - lo)
             own = ~early
             ptr = np.searchsorted(rows[own], np.arange(hi - lo + 1))
             cols, vals = cols[own], vals[own]
         lu = scipy.sparse.csr_array((vals, cols, ptr), shape=(hi - lo, hi - lo))
         x[lo:hi] = scipy.sparse.linalg.spsolve(
-            lu, rhs, permc_spec="NATURAL" if part[lo] & 1 else "MMD_AT_PLUS_A")
-    residual = float(np.max(np.abs(np.bincount(_rows_of(indptr), a * x[c], minlength=m) - b)))
+            lu, rhs, permc_spec="NATURAL" if part[lo] & 1 else "MMD_AT_PLUS_A").reshape(hi - lo, -1)
+    residual = float(np.max(np.abs(_row_sums(_rows_of(indptr), a, x[c], m) - b)))
     if not np.isfinite(residual):
         raise StructureError("singular system: the solve is not finite")
-    out = np.empty(m)
+    out = np.empty(x.shape)
     out[order] = x
-    return out, residual
+    return out.reshape(shape), residual
 
 
 def hitting_time_exact(chain: FiniteChain) -> HittingTimeSolution:
@@ -316,11 +309,15 @@ def visit_probabilities_exact(chain: FiniteChain, levels) -> dict:
 
     levels maps chain states to integer levels and must be monotone
     non-decreasing along every positive-probability transition; the
-    offending edge is named otherwise.  One absorption solve per
-    level, over the states below level i that can reach it: the chain
-    restricted to them is substochastic and the probability of entering
-    level i (rather than jumping past it) solves a linear system.
+    offending edge is named otherwise.  So a walk enters a level at most
+    once from below: P(level L is occupied) is the start mass at L plus
+    start · (I - Q)^-1 b_L over the transient states (their strong
+    component has an entry leaving it), b_L the kernel mass from below L
+    into L.  One _solve_transient takes every level as a column of a
+    dense (states × levels) matrix, which suits a few thousand states.
     """
+    import scipy.sparse.csgraph
+
     if callable(levels):
         level_of = levels
     else:
@@ -336,16 +333,14 @@ def visit_probabilities_exact(chain: FiniteChain, levels) -> dict:
             f"level decreases along transition {i!r} -> {j!r}", offender=(i, j)
         )
 
-    by_col = chain.kernel.tocsc()
-    entering, ptr = by_col.indices.tolist(), by_col.indptr.tolist()
-    result = {}
-    for level in sorted(set(int(x) for x in lv)):
-        at = lv == level
-        # probability of ever entering the level, from each state below
-        # it that can; every other state never enters it
-        keep = (lv < level) & _reaching(entering, ptr, at)
-        h = at.astype(float)
-        if keep.any():
-            h[keep], _ = _solve_transient(chain.kernel, keep, (chain.kernel @ h)[keep])
-        result[level] = float(np.dot(chain.start, h))
-    return result
+    values, at = np.unique(lv, return_inverse=True)
+    visits = np.bincount(at, chain.start, minlength=values.size)
+    _, label = scipy.sparse.csgraph.connected_components(chain.kernel, connection="strong")
+    transient = np.isin(label, label[r[label[r] != label[c]]])
+    if transient.any():
+        # b[i, L]: the mass from state i into level L, where i lies below L
+        b = chain.kernel @ (at[:, None] == np.arange(values.size))
+        b[lv[:, None] >= values] = 0.0
+        x, _ = _solve_transient(chain.kernel, transient, b[transient])
+        visits += chain.start[transient] @ x
+    return dict(zip(values.tolist(), visits.tolist()))

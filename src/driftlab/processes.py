@@ -811,17 +811,19 @@ def _make_vertex_cover(instance: GraphInstance) -> Process:
         return [e for e in edges if e[0] not in chosen and e[1] not in chosen]
 
     def value(state):
-        return float(len(cover - state[1])) if uncovered(state) else 0.0
+        # the built process's is_target shares its memo of uncovered edges
+        return 0.0 if process.is_target(state) else float(len(cover - state[1]))
 
     def add(state, v):
         count, chosen = state
         return (count + 1, chosen | {v})
 
     start = (0, frozenset())
-    return _pick_process(
+    process = _pick_process(
         f"vertex_cover(n={instance.n})", UniformPick(uncovered, add),
         lambda rng: start, value, ((start, 1.0),),
     )
+    return process
 
 
 def make_two_sat_process(instance: CnfInstance) -> Process:

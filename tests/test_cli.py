@@ -107,7 +107,7 @@ def test_comparison_row_interval_equals_run_stats_ci99(cap):
 def test_plot_data_validation(tmp_path):
     path = str(tmp_path / "plot.csv")
     emit_plot_data({"s": [(0, 1.0, 0.9, 1.1), (1, 0.5, 0.4, 0.6)]}, path)
-    lines = open(path).read().splitlines()
+    lines = (tmp_path / "plot.csv").read_text().splitlines()
     assert lines[0] == "series,x,y,ci_lo,ci_hi"
     assert lines[1].startswith("s,0,1,")
     with pytest.raises(errors.ParameterError):

@@ -9,7 +9,7 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from driftlab import errors
+from driftlab import errors, oracle
 from driftlab.oracle import (
     _solve_transient,
     birth_death_exact,
@@ -252,11 +252,40 @@ def test_visit_probabilities_with_a_target_below_a_level():
     assert visits == {0: 1.0, 1: 0.5, 2: 0.5}
 
 
-def test_rls_leadingones_visits_each_level_below_the_top_with_probability_half():
+def test_visit_probabilities_past_a_closed_class_below_a_level():
+    # 1 <-> 2 is closed at level 1 and is not a target; 3 (level 0) goes
+    # to the target 0 (level 2) or into the cycle, and 4 (level 0) stays
+    # or moves to 3.  Solving over the cycle would be singular, and the
+    # mass from 4 reaches both levels above it only through 3.
+    chain = FiniteChain(
+        states=(0, 1, 2, 3, 4),
+        kernel=np.array([
+            [1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0, 0.0],
+            [0.5, 0.5, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.5, 0.5],
+        ]),
+        start=np.array([0.0, 0.2, 0.0, 0.0, 0.8]),
+        targets=frozenset({0}),
+    )
+    visits = visit_probabilities_exact(chain, {0: 2, 1: 1, 2: 1, 3: 0, 4: 0})
+    assert visits == pytest.approx({0: 0.8, 1: 0.6, 2: 0.4}, rel=1e-15)
+
+
+def test_rls_leadingones_visits_each_level_below_the_top_with_probability_half(monkeypatch):
     n = 8
     chain = to_finite_chain(make_ea_process("RLS", "leadingones", n=n))
     leading_ones = lambda bits: next((i for i, b in enumerate(bits) if b != 1), n)
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return _solve_transient(*args)
+
+    monkeypatch.setattr(oracle, "_solve_transient", counted)
     visits = visit_probabilities_exact(chain, leading_ones)
+    assert len(solves) == 1
     assert sorted(visits) == list(range(n + 1))
     for level in range(n):
         assert visits[level] == pytest.approx(0.5, abs=1e-12)
@@ -474,6 +503,13 @@ def test_staged_solve_matches_a_dense_solve(drawn):
     want[keep] = np.linalg.solve(np.eye(keep.sum()) - kernel[np.ix_(keep, keep)], np.ones(keep.sum()))
     got = hitting_time_exact(chain).per_state
     np.testing.assert_allclose([got[s] for s in chain.states], want, rtol=1e-12, atol=0)
+
+    # a matrix right-hand side is solved column by column as its vectors
+    columns = np.column_stack((np.ones(keep.sum()), np.arange(1.0, keep.sum() + 1)))
+    together, _ = _solve_transient(chain.kernel, keep, columns)
+    for j in range(columns.shape[1]):
+        alone, _ = _solve_transient(chain.kernel, keep, columns[:, j])
+        np.testing.assert_allclose(together[:, j], alone, rtol=1e-12, atol=0)
 
     # entering level l from below it: every state below l leaves that set
     visits = visit_probabilities_exact(chain, dict(zip(chain.states, levels.tolist())))

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from driftlab import errors, processes
-from driftlab.montecarlo import sample_hitting_times, trial_rng
+from driftlab.montecarlo import (
+    sample_hitting_times,
+    simulate_trajectory,
+    trial_rng,
+    verify_condition,
+)
+from driftlab.potentials import identity_potential
 from driftlab.processes import (
     CnfInstance,
     GraphInstance,
@@ -325,6 +331,11 @@ def test_pick_walk_scans_groups_once_per_visited_state():
     calls.clear()
     chain = to_finite_chain(proc)
     assert calls == list(chain.states) == [2, 1, 3, 0, 4]
+    # the condition checker skips the target 0 as it comes to it
+    calls.clear()
+    rep = verify_condition(proc, identity_potential(), "step_bound_B", state_set=range(5), c=1)
+    assert calls == [0, 1, 2, 3, 4]
+    assert rep.per_state == tuple((d, 1.0, (1.0, 1.0), True) for d in range(1, 5))
 
 
 def test_sorting_row_is_the_hand_enumeration_over_pairs():
@@ -393,6 +404,25 @@ def test_vertex_cover_value_counts_missing_cover_vertices():
     start = (0, frozenset())
     assert proc.value(start) == 1.0
     assert proc.value((1, frozenset({1}))) == 0.0
+
+
+def test_vertex_cover_scans_its_edges_once_per_visited_state():
+    # value, is_target and step share the walk's groups: each state a
+    # trajectory visits scans the edges once, absorbed or not
+    class Edges(tuple):
+        scans = 0
+
+        def __iter__(self):
+            self.scans += 1
+            return super().__iter__()
+
+    edges = Edges(((0, 1), (0, 2), (0, 3), (3, 4), (4, 5)))
+    proc = make_graph_process("vertex_cover", GraphInstance(n=6, edges=edges, cover=frozenset({0, 4})))
+    times = sample_hitting_times(proc, 50, seed=3, cap=3)
+    assert (times < 0).any() and (times > 0).any()
+    edges.scans = 0
+    simulate_trajectory(proc, 3, 50, seed=3)
+    assert edges.scans == int(np.where(times < 0, 4, times + 1).sum())
 
 
 def test_two_sat_flips_one_variable_of_an_unsatisfied_clause():
