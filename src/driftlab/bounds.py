@@ -8,7 +8,7 @@ attached as flags by callers.
 """
 
 from dataclasses import dataclass, field
-from math import ceil, exp, inf, log, log2
+from math import ceil, exp, inf, isnan, log, log2
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,9 +38,9 @@ class PreconditionFlag:
 class BoundReport:
     """A computed bound with its provenance.
 
-    bound is clamped to [0, 1] for probability directions; the raw
-    formula value is kept in raw.  extras carries secondary outputs
-    (tail pairs, weaker variants, tables).
+    bound is clamped to [0, 1] for probability directions (NaN stays
+    NaN); the raw formula value is kept in raw.  extras carries
+    secondary outputs (tail pairs, weaker variants, tables).
     """
 
     theorem_id: str
@@ -107,7 +107,9 @@ def _grid_flags(h: DriftFunction, lo: float, hi: float) -> dict:
 
 
 def _clamp_prob(value: float) -> float:
-    return min(1.0, max(0.0, value))
+    """value clipped to [0, 1]; NaN stays NaN, so a bad input never
+    reads as a bound of 0."""
+    return value if isnan(value) else min(1.0, max(0.0, value))
 
 
 # ---------------------------------------------------------------------------
@@ -933,17 +935,16 @@ class WormaldTrajectory:
         return out
 
 
-def wormald_track(
-    system: WormaldSystem, horizon: float, c_stop: float = 1.0, step: float = 1e-3
-) -> WormaldTrajectory:
-    """Integrate dz/dx = f(x, z) with a classical 4th-order fixed-step
-    scheme from the scaled initial point.
+def wormald_track(system: WormaldSystem, horizon: float) -> WormaldTrajectory:
+    """Integrate dz/dx = f(x, z) with a classical 4th-order scheme of
+    fixed step 1e-3 from the scaled initial point.
 
-    Stops at the horizon or once the point comes within c_stop * lam
+    Stops at the horizon or once the point comes within lam
     (l-infinity) of the domain boundary; the exit point is reported.
     """
+    step = 1e-3
     z0 = np.array(system.y0, dtype=float) / system.m
-    margin = system.radius - c_stop * system.lam
+    margin = system.radius - system.lam
     xs = [0.0]
     zs = [z0.copy()]
     x = 0.0

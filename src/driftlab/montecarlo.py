@@ -760,8 +760,8 @@ def verify_condition(
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple:
+    """Wilson 99% score interval (z = Z99) for a binomial proportion.
 
     The ends are exactly 0 with no success and exactly 1 with no
     failure; computed, they can miss the observed frequency by rounding.
@@ -771,10 +771,10 @@ def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple:
     if not 0 <= successes <= trials:
         raise ParameterError(f"successes must lie in [0, {trials}], got {successes}")
     phat = successes / trials
-    z2 = z * z
+    z2 = Z99 * Z99
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = Z99 * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return (lo, hi)

@@ -8,7 +8,6 @@ oracle module can solve for expected hitting times without sampling.
 """
 
 import inspect
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from math import comb
@@ -20,8 +19,6 @@ from .errors import CapacityError, ParameterError, StructureError, UnsupportedEr
 
 State = Any
 Kernel = Callable[[State], list[tuple[State, float]]]
-
-_KERNEL_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +116,10 @@ class FiniteChain:
     row-stochastic matrix (kept as a canonical csr_array of its positive
     entries; other 2-D input is converted on a copy), start a probability
     vector over states and targets the set of absorbing target indices.
+    This is the one place that canonicalises and checks a kernel: the
+    copy sums duplicate entries, sorts each row by column and drops
+    zeros; a negative or non-finite entry is named, and so is the row
+    that sums furthest from 1 when any misses it by more than 1e-12.
     """
 
     states: tuple
@@ -897,8 +898,10 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
     """Enumerate the reachable state space of a kernel-backed process.
 
     Breadth-first exploration from the support of the initial
-    distribution; target states are made absorbing.  Raises a capacity
-    error once more than max_states states have been discovered.
+    distribution; target states are made absorbing.  Each row is handed
+    to FiniteChain as the kernel lists it, less its zero entries, and
+    FiniteChain checks it.  Raises a capacity error once more than
+    max_states states have been discovered.
     """
     if process.exact_kernel is None:
         raise UnsupportedError(f"{process.name} has no exact kernel")
@@ -907,31 +910,24 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
 
     index: dict = {}
     order: list = []
-    queue = deque()
     for state, _ in process.initial_support:
         if state not in index:
             index[state] = len(order)
             order.append(state)
-            queue.append(state)
-    entries: list[tuple[int, float]] = []
+    cols: list[int] = []
+    probs: list[float] = []
     ends = [0]
     targets = []
-    # states are popped in index order, so their rows are appended in order
-    while queue:
-        state = queue.popleft()
+    # the loop reaches the states appended to order while it runs, so it
+    # visits them breadth-first and appends their rows in index order
+    for state in order:
         if process.is_target(state):
             targets.append(len(ends) - 1)
-            row = [(state, 1.0)]
+            row = ((state, 1.0),)
         else:
             row = process.exact_kernel(state)
-        total = sum(p for _, p in row)
-        if abs(total - 1.0) > _KERNEL_TOL:
-            raise StructureError(
-                f"kernel row at {state!r} sums to {float(total)!r}", offender=state
-            )
-        row_sum: dict[int, float] = {}
-        # a zero is left out; FiniteChain rejects a negative entry
         for succ, p in row:
+            # a zero-mass successor is not reached, so it is no state
             if p == 0.0:
                 continue
             j = index.get(succ)
@@ -943,18 +939,14 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
                     )
                 j = index[succ] = len(order)
                 order.append(succ)
-                queue.append(succ)
-            # a successor listed twice adds up in row order
-            row_sum[j] = row_sum.get(j, 0.0) + p
-        entries += sorted(row_sum.items())
-        ends.append(len(entries))
+            cols.append(j)
+            probs.append(p)
+        ends.append(len(cols))
 
     import scipy.sparse
 
     m = len(order)
-    kernel = scipy.sparse.csr_array(
-        ([p for _, p in entries], [j for j, _ in entries], ends), shape=(m, m)
-    )
+    kernel = scipy.sparse.csr_array((probs, cols, ends), shape=(m, m), dtype=float)
     start = np.zeros(m)
     for state, p in process.initial_support:
         start[index[state]] += p

@@ -60,26 +60,26 @@ def verdict_for(
     verdict is "violated" only on a conflict beyond tolerance and
     "indeterminate" when there is nothing to compare against.
     """
-    checks = []
+    evidence = []
     if oracle is not None:
-        tol = REL_TOL * max(1.0, abs(oracle))
-        if direction in (UPPER_ON_ET, FIXED_BUDGET_VALUE):
-            checks.append(bound >= oracle - tol)
-        elif direction == LOWER_ON_ET:
-            checks.append(bound <= oracle + tol)
-        else:
-            checks.append(oracle <= bound + tol)
+        evidence.append((oracle, REL_TOL * max(1.0, abs(oracle))))
     if sim_mean is not None:
-        slack = SIGMA * (sim_se or 0.0)
-        if direction in (UPPER_ON_ET, FIXED_BUDGET_VALUE):
-            checks.append(bound >= sim_mean - slack)
-        elif direction == LOWER_ON_ET:
-            checks.append(bound <= sim_mean + slack)
-        else:  # tail probabilities: observed frequency must not exceed bound
-            checks.append(sim_mean <= bound + slack)
-    if not checks:
+        evidence.append((sim_mean, SIGMA * (sim_se or 0.0)))
+    if not evidence:
         return INDETERMINATE
-    return HOLDS if all(checks) else VIOLATED
+    return HOLDS if all(_agrees(direction, bound, value, slack)
+                        for value, slack in evidence) else VIOLATED
+
+
+def _agrees(direction: str, bound: float, value: float, slack: float) -> bool:
+    """Whether bound is consistent, within slack, with value: an exact
+    or a simulated ground truth."""
+    if direction in (UPPER_ON_ET, FIXED_BUDGET_VALUE):
+        return bound >= value - slack
+    if direction == LOWER_ON_ET:
+        return bound <= value + slack
+    # tail probabilities: the value must not exceed the bound
+    return value <= bound + slack
 
 
 def comparison_row(

@@ -173,6 +173,12 @@ def test_probability_bounds_clamped_with_raw_kept():
     assert r2.raw > 1.0
 
 
+def test_probability_bounds_keep_a_nan_input_as_nan():
+    # a clamp to 0 would read as the strongest bound and could hold
+    assert math.isnan(multiplicative_tail(2.0, 0.5, math.nan).bound)
+    assert math.isnan(negative_drift_escape(10.0, -0.1, 1.0, math.nan).bound)
+
+
 def test_negative_drift_pinned_example():
     r = negative_drift_escape(40.0, -0.1, 1.0, 3.0)
     assert r.bound == pytest.approx(3.0 * math.exp(-2.0))

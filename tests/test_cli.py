@@ -90,6 +90,19 @@ def test_verdict_logic_per_direction():
     assert verdict_for("upper_on_ET", 10.0, sim_mean=10.5, sim_se=0.2) == "holds"
     # exact tolerance: tiny relative excess is not a violation
     assert verdict_for("upper_on_ET", 10.0, oracle=10.0 * (1 + 1e-12)) == "holds"
+    # a fixed-budget value bounds from above, like upper_on_ET
+    assert verdict_for("fixed_budget_value", 5.0, oracle=5.0 * (1 + 1e-12)) == "holds"
+    assert verdict_for("fixed_budget_value", 5.0, oracle=5.1) == "violated"
+    assert verdict_for("fixed_budget_value", 5.0, sim_mean=5.5, sim_se=0.2) == "holds"
+    assert verdict_for("fixed_budget_value", 5.0, sim_mean=5.7, sim_se=0.2) == "violated"
+    assert verdict_for("lower_on_ET", 10.0, sim_mean=9.5, sim_se=0.2) == "holds"
+    assert verdict_for("lower_on_ET", 10.0, sim_mean=9.3, sim_se=0.2) == "violated"
+    assert verdict_for("upper_tail_prob", 0.1, oracle=0.1 + 1e-10) == "holds"
+    assert verdict_for("upper_tail_prob", 0.1, oracle=0.1 + 1e-8) == "violated"
+    # every piece of evidence must agree
+    assert verdict_for("upper_on_ET", 10.0, oracle=9.0, sim_mean=11.0, sim_se=0.1) == "violated"
+    assert verdict_for("upper_on_ET", 10.0, oracle=11.0, sim_mean=9.0, sim_se=0.1) == "violated"
+    assert verdict_for("upper_tail_prob", math.nan, sim_mean=0.0, sim_se=0.0) == "violated"
 
 
 @pytest.mark.parametrize("cap", [10_000, 1])  # with and without finished trials
@@ -264,6 +277,15 @@ def test_bound_command_prints_value_and_flags(capsys):
     value = (1.0 + math.log(20.0)) / 0.05
     assert out.splitlines()[0] == f"mult.upper upper_on_ET {value:.12g}"
     assert "drift_D: unchecked" in out
+
+
+@pytest.mark.parametrize(
+    "theorem_id, params",
+    [("mult.tail", "s=2,delta=0.5,k=nan"), ("neg.515", "n=10,eps=-0.1,c=1,s=nan")],
+)
+def test_bound_command_prints_a_nan_tail_bound_as_nan(theorem_id, params, capsys):
+    main(["bound", theorem_id, "--params", params])
+    assert capsys.readouterr().out.splitlines()[0] == f"{theorem_id} upper_tail_prob nan"
 
 
 def test_bound_command_unknown_id(capsys):

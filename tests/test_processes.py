@@ -202,6 +202,34 @@ def test_to_finite_chain_names_a_negative_kernel_entry(row, message):
     assert exc.value.offender == 1
 
 
+def test_to_finite_chain_hands_over_summed_sorted_zero_free_rows():
+    # "a" lists "b" twice around the earlier column of "a", and "z" with no mass
+    rows = {"a": [("b", 0.25), ("z", 0.0), ("a", 0.25), ("b", 0.5)]}
+    proc = processes._chain_process(
+        "repeats", rows.get, [("a", 1.0)], value=lambda s: float(s == "a"),
+        is_target=lambda s: s == "b",
+    )
+    chain = to_finite_chain(proc)
+    assert chain.states == ("a", "b")
+    assert chain.targets == frozenset({1})
+    assert chain.start.tolist() == [1.0, 0.0]
+    assert chain.kernel.indptr.tolist() == [0, 2, 3]
+    assert chain.kernel.indices.tolist() == [0, 1, 1]
+    assert chain.kernel.data.tolist() == [0.25, 0.75, 1.0]
+
+
+def test_to_finite_chain_names_a_row_that_does_not_sum_to_one():
+    rows = {"a": [("b", 0.5), ("c", 0.5)], "c": [("b", 0.4), ("a", 0.5)]}
+    proc = processes._chain_process(
+        "leaky", rows.get, [("a", 1.0)], value=lambda s: float(s != "b"),
+        is_target=lambda s: s == "b",
+    )
+    with pytest.raises(errors.StructureError) as exc:
+        to_finite_chain(proc)
+    assert str(exc.value) == "kernel row at 'c' sums to 0.9"
+    assert exc.value.offender == "c"
+
+
 def test_linear_objective_validates_weights():
     with pytest.raises(errors.ParameterError):
         make_ea_process("RLS", "linear", weights=(1.0, 2.0))
