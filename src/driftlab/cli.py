@@ -10,6 +10,7 @@ import argparse
 import configparser
 import dataclasses
 import inspect
+import math
 import re
 import sys
 from typing import Optional, Union, get_args, get_origin
@@ -104,21 +105,25 @@ def parse_potential(spec: str, process=None):
     return _bind(name, _POTENTIALS[name], params)
 
 
-def _drift_fn(value) -> bounds.DriftFunction:
+def _drift_fn(what: str, key: str, value) -> bounds.DriftFunction:
     """linear:<delta> or const:<delta> shorthand for drift functions."""
     if isinstance(value, list) and len(value) == 2:
         kind, delta = value
         if kind == "linear":
-            return bounds.linear_drift(float(delta))
+            return bounds.linear_drift(float(_number(what, key, delta)))
         if kind == "const":
-            return bounds.constant_drift(float(delta))
+            return bounds.constant_drift(float(_number(what, key, delta)))
     raise ConfigError(f"cannot parse drift function {value!r}; use linear:d or const:d")
 
 
 def _number(what: str, key: str, value):
-    if isinstance(value, (int, float)):
-        return value
-    raise ConfigError(f"{what} parameter {key!r} must be numeric, got {value!r}")
+    """A parsed number as it is; text, NaN and infinities are errors
+    naming the parameter (a NaN passes every range check)."""
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} parameter {key!r} must be numeric, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{what} parameter {key!r} must be finite, got {value!r}")
+    return value
 
 
 def _floats(what: str, key: str, value) -> tuple:
@@ -144,7 +149,7 @@ _CONVERTERS = {
     int: lambda what, key, value: processes._whole(what, key, _number(what, key, value)),
     tuple: _floats,
     str: _word,
-    bounds.DriftFunction: lambda what, key, value: _drift_fn(value),
+    bounds.DriftFunction: _drift_fn,
 }
 
 

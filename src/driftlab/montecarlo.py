@@ -11,8 +11,11 @@ whose step_law is a KernelDraw (kernel chains) or LeadingOnesEA (the
 (1+1) EA on LeadingOnes) is instead stepped by the lockstep walker: all
 live trials of a chunk advance together in numpy, each reading its own
 stream in blocks, since rng.random(a) followed by rng.random(b) gives
-the numbers of rng.random(a + b).  Once no more chain trials are live
-than the loop would take from the start, the loop finishes their hitting
+the numbers of rng.random(a + b).  A chain takes its block of draws
+step by step.  The EA on LeadingOnes takes it from improvement to
+improvement, since LO stays put in between; its draws per trial are the
+loop's, rng.random(n) a step.  Once no more chain trials are live than
+the loop would take from the start, the loop finishes their hitting
 times from where the walker left them.  Hitting times and value curves
 equal the loop's trial by trial.
 """
@@ -286,6 +289,8 @@ class _KernelWalk:
                 self.val[i] = self.process.value(state)
 
     def _arrive(self):
+        """Visit the rows reached for the first time; the mask of slots
+        on a target, or None when no slot is on a target or a new row."""
         f = self.flag[self.idx]
         if not np.count_nonzero(f):
             return None
@@ -295,10 +300,11 @@ class _KernelWalk:
             f = self.flag[self.idx]
         return f == 2
 
-    def start(self, states):
+    def start(self, states) -> np.ndarray:
         self.idx = np.array([self.table.row(s) for s in states], dtype=np.int64)
         self._fit()
-        return self._arrive()
+        self._arrive()
+        return self.flag[self.idx] == 2
 
     def draw(self, rngs, steps: int) -> np.ndarray:
         u = np.empty((len(rngs), steps))
@@ -306,14 +312,30 @@ class _KernelWalk:
             rng.random(out=row)
         return u.T[:, :, None]
 
-    def step(self, u):
+    def advance(self, u):
+        """Step every slot once per row of u, each row of a slot's draws
+        taken as _categorical takes its one uniform."""
         table = self.table
-        j = (u < table.cum[self.idx]).argmax(axis=1)
-        self.idx = table.succ[self.idx, j]
-        return self._arrive()
-
-    def stop(self, hit) -> None:
-        self.idx[hit] = 0
+        slots = len(self.idx)
+        at = np.full(slots, -1)
+        vals = np.empty((len(u), slots)) if self.record else None
+        live = slots
+        for k, uk in enumerate(u):
+            j = (uk < table.cum[self.idx]).argmax(axis=1)
+            self.idx = table.succ[self.idx, j]
+            hit = self._arrive()
+            if self.record:
+                vals[k] = self.val[self.idx]
+            if hit is not None:
+                at[hit] = k
+                self.idx[hit] = 0  # the sentinel row steps to itself
+                live -= int(np.count_nonzero(hit))
+                if not live:
+                    break
+        if self.record:
+            after = (at >= 0) & (np.arange(len(u))[:, None] > at)
+            vals = np.where(after, vals[at, np.arange(slots)], vals)
+        return at, vals
 
     def keep(self, live) -> None:
         self.idx = self.idx[live]
@@ -325,67 +347,131 @@ class _KernelWalk:
         return self.val[self.idx]
 
 
-class _LeadingOnesWalk:
-    """Trials of the (1+1) EA on LeadingOnes as rows of a bit matrix,
-    with a 0 column after the last bit so that argmin finds LO = n."""
+def _low_bit(words: np.ndarray, none: int) -> np.ndarray:
+    """The place of the lowest set bit of each row of words (the last
+    axis, word 0 holding the lowest bits), or none where no bit is set."""
+    low = words & -words  # the lowest set bit alone, by two's complement
+    # a power of two is exact in float32, so its exponent is its place
+    place = (low.astype(np.float32).view(np.uint32) >> 23).astype(np.int32) - 127
+    place += 8 * words.itemsize * np.arange(words.shape[-1], dtype=np.int32)
+    place[words == 0] = none
+    return place.min(axis=-1)
 
-    def __init__(self, process: Process):
+
+class _LeadingOnesWalk:
+    """Trials of the (1+1) EA on LeadingOnes, each a row of bits packed
+    into little-endian words (bit i of the string is bit i of the row,
+    the padding after bit n - 1 is 0), with LO, its first 0 bit.
+
+    A step keeps its offspring exactly when its first flipped bit f is
+    at or above LO, and LO rises only at a step where f == LO: the flips
+    kept since a slot's last improvement never touch the bits below LO,
+    and bit LO flips only at the step that ends them.  So LO is constant
+    from one improvement to the next, and a block of draws is taken in
+    rounds: every slot still in the block finds its next step with
+    f == LO, xors its kept flips up to there into its bits, and reads
+    the new LO as the first 0 bit.  The rounds end when no slot has an
+    improvement left in the block, and the kept flips after each slot's
+    last one go into its bits as well."""
+
+    def __init__(self, process: Process, record: bool):
         law = process.step_law
         self.n, self.p = law.n, law.p
         self.width = law.n
+        self.record = record
         self.value = None if process.value is law.distance else process.value
         self.distance = np.arange(law.n, -1, -1, dtype=float)
+        # one word of 1, 2 or 4 bytes for n <= 32, else 8-byte words
+        size = -(-law.n // 8)
+        size = 8 if size > 4 else 1 << (size - 1).bit_length()
+        self.word = np.dtype(f"<u{size}")
+        self.cols = -(-law.n // (8 * size)) * 8 * size
 
-    def start(self, states):
-        self.bits = np.zeros((len(states), self.n + 1), dtype=bool)
-        self.bits[:, :self.n] = states
-        self.lo = self.bits.argmin(axis=1)
-        self.live = np.ones(len(states), dtype=bool)
-        self.stopped = 0
-        return self._arrive()
+    def _pack(self, flags: np.ndarray) -> np.ndarray:
+        """Rows of n flags as rows of words."""
+        padded = np.zeros(flags.shape[:-1] + (self.cols,), dtype=bool)
+        padded[..., :self.n] = flags
+        words = np.packbits(padded, bitorder="little").view(self.word)
+        return words.reshape(flags.shape[:-1] + (-1,))
 
-    def _arrive(self):
-        done = self.lo == self.n
-        if np.count_nonzero(done) == self.stopped:
-            return None
-        return done & self.live
+    def _values(self, bits: np.ndarray) -> np.ndarray:
+        """The process value of each row of bits, a string being a tuple
+        of 0/1 ints as in the states step passes."""
+        flags = np.unpackbits(bits.astype(self.word, copy=False).view(np.uint8),
+                              axis=-1, count=self.n, bitorder="little")
+        strings = flags.reshape(-1, self.n).tolist()
+        return np.array([self.value(tuple(b)) for b in strings]).reshape(bits.shape[:-1])
+
+    def start(self, states) -> np.ndarray:
+        self.bits = self._pack(np.array(states, dtype=bool).reshape(len(states), self.n))
+        self.lo = _low_bit(~self.bits, self.n)
+        return self.lo == self.n
 
     def draw(self, rngs, steps: int) -> np.ndarray:
         flips = np.empty((len(rngs), steps, self.n), dtype=bool)
         for row, rng in zip(flips, rngs):
             np.less(rng.random(steps * self.n).reshape(steps, self.n), self.p, out=row)
-        return flips.transpose(1, 0, 2)
+        return self._pack(flips)
 
-    def step(self, flips):
-        # the offspring keeps LO >= lo exactly when no bit below lo flips;
-        # argmax is 0 when nothing flips, and then either choice is bits
-        self.bits[:, :self.n] ^= flips & (flips.argmax(axis=1) >= self.lo)[:, None]
-        self.lo = self.bits.argmin(axis=1)
-        return self._arrive()
-
-    def stop(self, hit) -> None:
-        self.live &= ~hit
-        self.stopped += int(np.count_nonzero(hit))
+    def advance(self, flips):
+        slots, span, _ = flips.shape
+        n, bits, lo = self.n, self.bits, self.lo
+        first = _low_bit(flips, n)  # n where nothing flips
+        steps = np.arange(span, dtype=np.int32)
+        at = np.full(slots, -1)
+        if self.record:
+            # LO at each step where it rose, and at step 0 the LO before it
+            bits0, lo0 = bits.copy(), lo.copy()
+            rises = np.zeros((slots, span), dtype=np.int32)
+            rises[:, 0] = lo0
+        # the slots still in the block, and the step after each one's last improvement
+        act = np.arange(slots)
+        since = np.zeros(slots, dtype=np.int32)
+        while act.size:
+            whole = act.size == slots
+            f = first if whole else first[act]
+            at_lo = lo[act][:, None]
+            later = steps >= since[act][:, None]
+            up = later & (f == at_lo)
+            end = up.argmax(axis=1).astype(np.int32)
+            rose = up[np.arange(act.size), end]
+            end[~rose] = span - 1
+            kept = later & (steps <= end[:, None]) & (f >= at_lo)
+            seg = flips if whole else flips[act]
+            bits[act] ^= np.bitwise_xor.reduce(seg * kept[:, :, None], axis=1)
+            act, end = act[rose], end[rose]
+            lo[act] = _low_bit(~bits[act], n)
+            if self.record:
+                rises[act, end] = lo[act]
+            hit = lo[act] == n
+            at[act[hit]] = end[hit]
+            since[act] = end + 1
+            act = act[~hit & (end + 1 < span)]
+        if not self.record:
+            return at, None
+        curve = np.maximum.accumulate(rises, axis=1)
+        if self.value is None:
+            return at, self.distance[curve].T
+        # every step's bits: the prefix xor of the flips kept at the LO before it
+        before = np.hstack([lo0[:, None], curve[:, :-1]])
+        kept = flips * (first >= before)[:, :, None]
+        return at, self._values(np.bitwise_xor.accumulate(kept, axis=1) ^ bits0[:, None]).T
 
     def keep(self, live) -> None:
-        self.bits, self.lo, self.live = self.bits[live], self.lo[live], self.live[live]
-        self.stopped = 0
+        self.bits, self.lo = self.bits[live], self.lo[live]
 
     def values(self):
-        if self.value is None:
-            return self.distance[self.lo]
-        # the states step passes are tuples of 0/1 ints
-        bits = self.bits[:, :self.n].view(np.uint8).tolist()
-        return np.array([self.value(tuple(b)) for b in bits])
+        return self.distance[self.lo] if self.value is None else self._values(self.bits)
 
 
 def _steps_in_lockstep(process: Process, trials: int) -> bool:
     """Whether the lockstep walker simulates these trials.  A lockstep
     step costs about 8 µs of numpy calls however few trials are live,
     and a chain's own step about 2 µs a trial, so chains with a few
-    trials stay on the loop; an EA step on a bit string costs the loop
-    more than the whole lockstep step.  A UniformPick walk has no
-    lockstep walker yet and takes the loop."""
+    trials stay on the loop.  The EA on LeadingOnes takes a block of
+    draws in a few numpy calls per improvement, where the loop pays a
+    bit-string step per draw.  A UniformPick walk has no lockstep walker
+    yet and takes the loop."""
     law = process.step_law
     if isinstance(law, KernelDraw):
         return trials > _FEW_TRIALS
@@ -403,12 +489,14 @@ def _lockstep(process: Process, trials: int, seed: int, steps: int, sums=None) -
     curves of t = 0..steps are added to them trial after trial, as the
     loop over sample_trajectory adds them.
 
-    A walker holds one slot per live trial: start(states) and
-    step(draws) return the mask of slots that reached the target (None
-    when none did), draw(rngs, steps) takes each slot's next draws from
-    its stream, stop(mask) drops slots from the target check, keep(mask)
-    compacts the slots, values() gives each slot's process value and
-    state(slot) its state.
+    A walker holds one slot per live trial.  start(states) gives the
+    mask of slots on the target; draw(rngs, span) takes each slot's next
+    span steps of draws from its stream; advance(draws) takes those
+    steps and gives each slot's step of reaching the target within them
+    (-1 if none) and, when recording, the (span, slots) values after
+    each step, the value at the hit held after it; keep(mask) compacts
+    the slots, values() gives each slot's process value and state(slot)
+    its state.
 
     For hitting times, once so few trials are live that a job of that
     many would take the loop, each live trial's hitting time is finished
@@ -418,33 +506,27 @@ def _lockstep(process: Process, trials: int, seed: int, steps: int, sums=None) -
     if isinstance(process.step_law, KernelDraw):
         walk = _KernelWalk(process, record)
     else:
-        walk = _LeadingOnesWalk(process)
+        walk = _LeadingOnesWalk(process, record)
     times = np.full(trials, -1, dtype=np.int64)
     chunk = _chunk_trials(walk.width)
     for first in range(0, trials, chunk):
         rngs = _trial_rngs(seed, first, min(chunk, trials - first))
         size = len(rngs)
         hit = walk.start([process.sample_initial(rng) for rng in rngs])
-        # pos maps a slot to its trial in the chunk; a stopped slot points
-        # at the spare entry size, where nothing it writes is read
-        pos = np.arange(size)
-        cur = np.empty(size + 1)
+        pos = np.arange(size)  # the trial in the chunk of each slot
+        times[first + pos[hit]] = 0
         if record:
-            cur[pos] = walk.values()
-        if hit is not None:
-            times[first + pos[hit]] = 0
-            pos[hit] = size
-            walk.stop(hit)
-        if record:
-            _add_in_order(sums, 0, cur[None, :size])
-        live = int(np.count_nonzero(pos < size))
+            cur = walk.values()  # each trial's value, held once it hits
+            _add_in_order(sums, 0, cur[None])
         t, block = 0, _FIRST_BLOCK
-        while t < steps and (live or record):
-            if live < len(pos):
-                kept = pos < size
-                pos = pos[kept]
-                rngs = [rng for rng, k in zip(rngs, kept) if k]
-                walk.keep(kept)
+        while True:
+            if hit.any():
+                pos = pos[~hit]
+                rngs = [rng for rng, h in zip(rngs, hit) if not h]
+                walk.keep(~hit)
+            live = len(pos)
+            if t == steps or not (live or record):
+                break
             if not record and not _steps_in_lockstep(process, live):
                 for slot, rng in enumerate(rngs):
                     times[first + pos[slot]] = _hit_time(process, walk.state(slot), rng, t, steps)
@@ -452,23 +534,18 @@ def _lockstep(process: Process, trials: int, seed: int, steps: int, sums=None) -
             span = _BLOCK_UNIFORMS // max(live * walk.width, size if record else 1)
             span = min(block, steps - t, max(1, span))
             block *= 2
-            u = walk.draw(rngs, span) if live else None
-            rec = np.empty((span, size)) if record else None
-            for k in range(span):
-                if not live:
-                    if record:
-                        rec[k:] = cur[:size]
-                    break
-                hit = walk.step(u[k])
-                if record:
-                    cur[pos] = walk.values()
-                    rec[k] = cur[:size]
-                if hit is not None:
-                    times[first + pos[hit]] = t + k + 1
-                    pos[hit] = size
-                    walk.stop(hit)
-                    live -= int(np.count_nonzero(hit))
+            if live:
+                at, vals = walk.advance(walk.draw(rngs, span))
+                hit = at >= 0
+                times[first + pos[hit]] = t + 1 + at[hit]
+            else:
+                hit = np.zeros(0, dtype=bool)
             if record:
+                rec = np.empty((span, size))
+                rec[:] = cur
+                if live:
+                    rec[:, pos] = vals
+                    cur[pos] = vals[-1]
                 _add_in_order(sums, t + 1, rec)
             t += span
     return times

@@ -280,12 +280,22 @@ def test_bound_command_prints_value_and_flags(capsys):
 
 
 @pytest.mark.parametrize(
-    "theorem_id, params",
-    [("mult.tail", "s=2,delta=0.5,k=nan"), ("neg.515", "n=10,eps=-0.1,c=1,s=nan")],
+    "theorem_id, params, key, value",
+    [pytest.param("mult.tail", "s=2,delta=0.5,k=nan", "k", "nan", id="mult.tail-k=nan"),
+     pytest.param("neg.515", "n=10,eps=-0.1,c=1,s=nan", "s", "nan", id="neg.515-s=nan"),
+     pytest.param("mult.tail", "s=2,delta=-inf,k=1", "delta", "-inf", id="mult.tail-delta=-inf"),
+     pytest.param("var.upper", "h=linear:inf,x0=10", "h", "inf", id="var.upper-h=linear:inf")],
 )
-def test_bound_command_prints_a_nan_tail_bound_as_nan(theorem_id, params, capsys):
-    main(["bound", theorem_id, "--params", params])
-    assert capsys.readouterr().out.splitlines()[0] == f"{theorem_id} upper_tail_prob nan"
+def test_bound_command_rejects_a_non_finite_parameter(theorem_id, params, key, value, capsys):
+    # a NaN passes every range check, so the calculator alone would print
+    # a bound of nan and exit 0
+    code = main(["bound", theorem_id, "--params", params])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"drift: error: {theorem_id} parameter {key!r} must be finite, got {value}\n"
+    )
 
 
 def test_bound_command_unknown_id(capsys):
@@ -499,7 +509,7 @@ def test_oracle_command_rejects_huge_state_space(capsys):
         ("updrift(n=0,k=100,delta=1)", "updrift requires n >= 1"),
         ("updrift(n=101,k=100,delta=1)", "updrift requires n <= k"),
         ("updrift(n=10,k=100,delta=-1)", "updrift requires delta > 0"),
-        ("updrift(n=10,k=100,delta=nan)", "updrift requires delta > 0"),
+        ("updrift(n=10,k=100,delta=nan)", "updrift parameter 'delta' must be finite, got nan"),
         ("updrift(n=10,k=100.5,delta=1)", "updrift parameter 'k' must be a whole number, got 100.5"),
     ],
 )

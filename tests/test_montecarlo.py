@@ -494,13 +494,23 @@ _CATALOG = {
         make_ea_process("OnePlusOneEA", "leadingones", n=8, mutation_rate=0.1),
         Potential(eval=lambda bits: bits.count(0) / 3.0, description="zeros/3"),
     ),
+    "EA-leadingones-n1": lambda: make_ea_process(
+        "OnePlusOneEA", "leadingones", n=1, mutation_rate=0.3
+    ),
+    "EA-leadingones-n3": lambda: make_ea_process(
+        "OnePlusOneEA", "leadingones", n=3, mutation_rate=0.3
+    ),
+    "EA-leadingones-p0.9": lambda: make_ea_process(
+        "OnePlusOneEA", "leadingones", n=4, mutation_rate=0.9
+    ),
 }
 
 # (catalog name, trials, cap, horizon) at the lockstep walker's seams: one
 # trial past a chunk, a cap and a horizon that cut a block of draws short,
 # trajectories whose trials absorb at many different times, a second chunk
-# whose last few live trials go to the loop after its first block, and a
-# loop-finished trial censored at the cap
+# whose last few live trials go to the loop after its first block, a
+# loop-finished trial censored at the cap, and the EA's rounds of
+# improvements (_EA_SEAMS says which case reaches what)
 _SEAMS = {
     "tail-in-second-chunk": ("winning_streak", _chunk_trials(1) + _FEW_TRIALS + 1, 10_000, 25),
     "censored-in-tail": ("gamblers_ruin", _FEW_TRIALS + 1, _FIRST_BLOCK + 5, 25),
@@ -510,6 +520,22 @@ _SEAMS = {
     "EA-cut-block": ("EA-leadingones", 60, _FIRST_BLOCK + 5, 3 * _FIRST_BLOCK + 5),
     "absorbing": ("coupon", 60, 10_000, 80),
     "EA-absorbing": ("EA-leadingones", 60, 10_000, 300),
+    "EA-rise-on-block-end": ("EA-leadingones", 20, 10_000, 3 * _FIRST_BLOCK + 5),
+    "EA-rises-in-one-block": ("EA-leadingones-n3", 10, 10_000, 25),
+    "EA-hit-on-block-start": ("EA-leadingones-n3", 50, 10_000, 3 * _FIRST_BLOCK + 5),
+    "EA-starts-at-optimum": ("EA-leadingones-n3", 8, _FIRST_BLOCK + 5, 25),
+    "EA-n=1": ("EA-leadingones-n1", 60, 10_000, 25),
+    "EA-p=0.9": ("EA-leadingones-p0.9", 60, 10_000, 3 * _FIRST_BLOCK + 5),
+}
+
+# what an EA seam case reaches, read from the reference loop's hitting
+# times and rises (rises[i, t - 1]: trial i's LO rose at step t, where its
+# n - LO curve falls); so few trials take blocks of _FIRST_BLOCK steps first
+_EA_SEAMS = {
+    "EA-rise-on-block-end": lambda times, rises: rises[:, _FIRST_BLOCK - 1].any(),
+    "EA-rises-in-one-block": lambda times, rises: (rises[:, :_FIRST_BLOCK].sum(axis=1) > 1).any(),
+    "EA-hit-on-block-start": lambda times, rises: (times == _FIRST_BLOCK + 1).any(),
+    "EA-starts-at-optimum": lambda times, rises: (times == 0).any(),
 }
 
 
@@ -521,6 +547,30 @@ _SEAMS = {
 )
 def test_simulation_matches_reference_loop_trial_by_trial(name, trials, cap, horizon):
     _assert_matches_reference(_CATALOG[name](), trials, seed=17, cap=cap, horizon=horizon)
+
+
+@pytest.mark.parametrize("seam", sorted(_EA_SEAMS))
+def test_leadingones_seam_cases_reach_their_seam(seam):
+    name, trials, cap, horizon = _SEAMS[seam]
+    times, curves = _reference_run(_CATALOG[name](), trials, 17, cap, horizon)
+    assert _EA_SEAMS[seam](times, curves[:, 1:] < curves[:, :-1])
+
+
+# caps and horizons reach past the first block of _FIRST_BLOCK steps
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(min_value=1, max_value=12),
+       p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+       lifted=st.booleans(), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       cap=st.integers(min_value=1, max_value=24), horizon=st.integers(min_value=0, max_value=24),
+       data=st.data())
+def test_leadingones_ea_matches_reference_loop_trial_by_trial(n, p, lifted, seed, cap, horizon,
+                                                              data):
+    trials = data.draw(st.integers(min_value=1, max_value=_chunk_trials(n) + 3), label="trials")
+    process = make_ea_process("OnePlusOneEA", "leadingones", n=n, mutation_rate=p)
+    if lifted:
+        process = lift(process, Potential(eval=lambda bits: bits.count(0) / 3.0,
+                                          description="zeros/3"))
+    _assert_matches_reference(process, trials, seed, cap, horizon)
 
 
 @pytest.mark.parametrize("name, trials", [("lifted-coupon", _chunk_trials(1) + 3),
