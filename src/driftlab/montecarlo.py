@@ -11,13 +11,17 @@ whose step_law is a KernelDraw (kernel chains) or LeadingOnesEA (the
 (1+1) EA on LeadingOnes) is instead stepped by the lockstep walker: all
 live trials of a chunk advance together in numpy, each reading its own
 stream in blocks, since rng.random(a) followed by rng.random(b) gives
-the numbers of rng.random(a + b).  A chain takes its block of draws
-step by step.  The EA on LeadingOnes takes it from improvement to
-improvement, since LO stays put in between; its draws per trial are the
-loop's, rng.random(n) a step.  Once no more chain trials are live than
-the loop would take from the start, the loop finishes their hitting
-times from where the walker left them.  Hitting times and value curves
-equal the loop's trial by trial.
+the numbers of rng.random(a + b).  A chain takes its block of draws a
+segment of steps at a time: a step is a gather of each trial's
+thresholds, a comparison with its uniform and a gather of its next
+position in the chain's compiled table, and the segment's hits and
+first visits are read from its history at once.  The EA on LeadingOnes
+takes its block from improvement to improvement, since LO stays put in
+between; its draws per trial are the loop's, rng.random(n) a step.
+Once no more chain trials are live than the loop would take from the
+start, the loop finishes their hitting times from where the walker
+left them.  Hitting times and value curves equal the loop's trial by
+trial.
 """
 
 import itertools
@@ -197,7 +201,7 @@ def sample_hitting_times(
 # Lockstep walker
 # ---------------------------------------------------------------------------
 
-_FEW_TRIALS = 8  # a chain simulated with no more trials than this takes the loop
+_FEW_TRIALS = 4  # a chain simulated with no more trials than this takes the loop
 _CHUNK = 4096  # trials started together
 _BLOCK_UNIFORMS = 1 << 19  # uniforms (and recorded values) held per block
 _FIRST_BLOCK = 16  # steps in a chunk's first block; each next block doubles
@@ -205,13 +209,18 @@ _MIN_BLOCK = 64  # steps a full chunk's block can hold at least
 
 
 class _KernelTable:
-    """Padded successor and cumulative-probability rows of a KernelDraw
-    chain, compiled on first visit and shared by every simulation of it.
+    """Successor and threshold rows of a KernelDraw chain, compiled on
+    first visit and shared by every simulation of it.
 
-    Row 0 is a sentinel that steps to itself.  A row's cumulative sums
-    are accumulated in row order as _categorical does, and padded with
-    inf and the row's last successor, which _categorical returns when u
-    is at or above every sum.
+    A row holds its successors as positions, width times their row
+    number, and before each successor but the last the row's running sum,
+    accumulated in row order as _categorical does.  _categorical takes
+    the first successor whose sum is above u, else the last, so a row of
+    two steps by one comparison, u >= its first sum, and a wider one by
+    the first column above u.  A NaN sum, above no u, is held as -inf.
+    Thresholds are padded with inf and successors with the row's last.
+    Row 0 is a sentinel that steps to itself, as does every row not
+    compiled yet.
     """
 
     def __init__(self, kernel):
@@ -219,8 +228,9 @@ class _KernelTable:
         self.index = {}
         self.states = [None]
         self.ready = [True]
+        self.width = 1
         self.succ = np.zeros((8, 1), dtype=np.int64)
-        self.cum = np.full((8, 1), np.inf)
+        self.cut = np.full((8, 1), np.inf)
 
     def row(self, state) -> int:
         i = self.index.get(state)
@@ -230,21 +240,23 @@ class _KernelTable:
             self.ready.append(False)
             if i == len(self.succ):
                 self.succ = np.concatenate([self.succ, np.zeros_like(self.succ)])
-                self.cum = np.concatenate([self.cum, np.full_like(self.cum, np.inf)])
+                self.cut = np.concatenate([self.cut, np.full_like(self.cut, np.inf)])
         return i
 
     def compile(self, i: int) -> None:
         pairs = self.kernel(self.states[i])
-        succ = [self.row(s) for s, _ in pairs]
-        cum = list(itertools.accumulate(p for _, p in pairs))
-        width = len(succ) + 1
-        if width > self.succ.shape[1]:
-            grow = width - self.succ.shape[1]
+        succ = np.array([self.row(s) for s, _ in pairs])
+        if len(succ) > self.width:
+            grow = len(succ) - self.width
+            self.succ = self.succ // self.width * len(succ)
             self.succ = np.hstack([self.succ, np.repeat(self.succ[:, -1:], grow, axis=1)])
-            self.cum = np.hstack([self.cum, np.full((len(self.cum), grow), np.inf)])
-        self.succ[i, :len(succ)] = succ
-        self.succ[i, len(succ):] = succ[-1]
-        self.cum[i, :len(cum)] = cum
+            self.cut = np.hstack([self.cut, np.full((len(self.cut), grow), np.inf)])
+            self.width = len(succ)
+        cut = np.array(list(itertools.accumulate(p for _, p in pairs))[:-1], dtype=float)
+        cut[np.isnan(cut)] = -np.inf
+        self.succ[i] = succ[-1] * self.width
+        self.succ[i, :len(succ)] = succ * self.width
+        self.cut[i, :len(cut)] = cut
         self.ready[i] = True
 
 
@@ -254,7 +266,18 @@ _TABLES = weakref.WeakKeyDictionary()
 
 
 class _KernelWalk:
-    """Trials of a KernelDraw chain as rows of its table."""
+    """Trials of a KernelDraw chain as positions in its table.
+
+    A block is stepped a segment of _FIRST_BLOCK steps at a time, on the
+    table as it stands, with each step's positions written into the
+    segment's history.  Then the history is read in one gather of the
+    flags at its positions, and each slot's flagged rows are taken in
+    order: a row not yet visited by this simulation is visited, and the
+    first target row is the slot's hit.  A row that had to be compiled
+    stepped to the sentinel, so the slots that passed one are stepped
+    again from the earliest such step.  Rows an earlier simulation
+    compiled step correctly and are only visited.
+    """
 
     def __init__(self, process: Process, record: bool):
         law = process.step_law
@@ -264,87 +287,141 @@ class _KernelWalk:
         self.process = process
         self.record = record
         self.width = 1
-        # per simulation: 0 steps on, 1 not yet visited, 2 target
+        # per simulation, at each row's position: 0 steps on, 1 not yet
+        # visited, 2 target; and the row's value
+        self.stride = 1
         self.flag = np.zeros(1, dtype=np.int8)
         self.val = np.full(1, np.nan)
 
     def _fit(self) -> None:
-        grow = len(self.table.succ) - len(self.flag)
-        if grow > 0:
-            self.flag = np.concatenate([self.flag, np.ones(grow, dtype=np.int8)])
-            self.val = np.concatenate([self.val, np.full(grow, np.nan)])
+        """Lay flag and val out on the table's positions once it grew."""
+        size, width = self.table.succ.size, self.table.width
+        if size > len(self.flag):
+            kept = slice(0, len(self.flag) // self.stride * width, width)
+            flag = np.ones(size, dtype=np.int8)
+            flag[kept] = self.flag[::self.stride]
+            val = np.full(size, np.nan)
+            val[kept] = self.val[::self.stride]
+            self.flag, self.val, self.stride = flag, val, width
 
-    def _visit(self, rows) -> None:
+    def _visit(self, i: int) -> bool:
+        """Visit row i, reached for the first time; whether it had to be
+        compiled."""
         table = self.table
-        for i in np.unique(rows).tolist():
-            state = table.states[i]
-            if self.process.is_target(state):
-                self.flag[i] = 2
-            else:
-                if not table.ready[i]:
-                    table.compile(i)
-                    self._fit()
-                self.flag[i] = 0
-            if self.record:
-                self.val[i] = self.process.value(state)
-
-    def _arrive(self):
-        """Visit the rows reached for the first time; the mask of slots
-        on a target, or None when no slot is on a target or a new row."""
-        f = self.flag[self.idx]
-        if not np.count_nonzero(f):
-            return None
-        new = self.idx[f == 1]
-        if new.size:
-            self._visit(new)
-            f = self.flag[self.idx]
-        return f == 2
+        state = table.states[i]
+        target = self.process.is_target(state)
+        compiled = not (target or table.ready[i])
+        if compiled:
+            table.compile(i)
+            self._fit()
+        self.flag[i * self.stride] = 2 if target else 0
+        if self.record:
+            self.val[i * self.stride] = self.process.value(state)
+        return compiled
 
     def start(self, states) -> np.ndarray:
-        self.idx = np.array([self.table.row(s) for s in states], dtype=np.int64)
+        rows = np.array([self.table.row(s) for s in states], dtype=np.int64)
         self._fit()
-        self._arrive()
-        return self.flag[self.idx] == 2
+        for i in np.unique(rows[self.flag[rows * self.stride] == 1]).tolist():
+            self._visit(i)
+        self.pos = rows * self.stride
+        return self.flag[self.pos] == 2
 
     def draw(self, rngs, steps: int) -> np.ndarray:
         u = np.empty((len(rngs), steps))
         for row, rng in zip(u, rngs):
             rng.random(out=row)
-        return u.T[:, :, None]
+        return u.T
+
+    def _walk(self, u, hist, pos) -> None:
+        """Step every slot from its position once per row of u, each
+        row of a slot's draws taken as _categorical takes its one
+        uniform, and write the positions after each step into hist."""
+        table = self.table
+        succ, width = table.succ.ravel(), table.width
+        # positions are always in range, and numpy buffers a take into out
+        # unless it clips
+        if width <= 2:
+            cut = table.cut.ravel()
+            for uk, out in zip(u, hist):
+                pos = succ.take(pos + (uk >= cut.take(pos)), out=out, mode="clip")
+        else:
+            # the first column whose threshold is above u; the last one's is inf
+            for uk, out in zip(u, hist):
+                j = (uk[:, None] < table.cut.take(pos // width, axis=0)).argmax(axis=1)
+                pos = succ.take(pos + j, out=out, mode="clip")
+
+    def _segment(self, u, at, t: int):
+        """Step every slot once per row of u and give its positions after
+        each step.  A slot that reaches a target gets at = t + its step
+        there and goes to the sentinel; the count of those slots."""
+        hist = np.empty(u.shape, dtype=np.int64)
+        self._walk(u, hist, self.pos)
+        hits, lanes = [], slice(None)
+        while True:
+            f = self.flag.take(hist[:, lanes])
+            if not f.any():
+                break
+            # each slot's flagged steps in order, until a hit or a row that
+            # had to be compiled: every step after that went to the sentinel
+            lane, step = np.nonzero(f.T)
+            slot = np.arange(u.shape[1])[lanes][lane]
+            stride = self.stride
+            rows = hist[step, slot] // stride
+            fresh, redo, last = set(), {}, -1
+            for s, k, i in zip(slot.tolist(), step.tolist(), rows.tolist()):
+                if s == last:
+                    continue
+                if self.flag[i * self.stride] == 1 and self._visit(i):
+                    fresh.add(i)
+                if i in fresh:
+                    redo[s], last = k, s
+                elif self.flag[i * self.stride] == 2:
+                    at[s], last = t + k, s
+                    hits.append(s)
+            if self.stride != stride:
+                hist //= stride
+                hist *= self.stride
+            if not redo:
+                break
+            lanes = np.array(list(redo))
+            k = min(redo.values())
+            again = np.empty((len(u) - k - 1, len(lanes)), dtype=np.int64)
+            self._walk(u[k + 1:, lanes], again, hist[k, lanes])
+            hist[k + 1:, lanes] = again
+        self.pos = hist[-1].copy()
+        self.pos[hits] = 0  # the sentinel steps to itself
+        return hist, len(hits)
 
     def advance(self, u):
-        """Step every slot once per row of u, each row of a slot's draws
-        taken as _categorical takes its one uniform."""
-        table = self.table
-        slots = len(self.idx)
+        """Step every slot once per row of u; each slot's step of
+        reaching a target and, when recording, the values after each
+        step, the value at the hit held after it."""
+        span, slots = u.shape
         at = np.full(slots, -1)
-        vals = np.empty((len(u), slots)) if self.record else None
+        vals = np.empty((span, slots)) if self.record else None
         live = slots
-        for k, uk in enumerate(u):
-            j = (uk < table.cum[self.idx]).argmax(axis=1)
-            self.idx = table.succ[self.idx, j]
-            hit = self._arrive()
+        for t in range(0, span, _FIRST_BLOCK):
+            seg = u[t:t + _FIRST_BLOCK]
+            hist, hits = self._segment(seg, at, t)
             if self.record:
-                vals[k] = self.val[self.idx]
-            if hit is not None:
-                at[hit] = k
-                self.idx[hit] = 0  # the sentinel row steps to itself
-                live -= int(np.count_nonzero(hit))
-                if not live:
-                    break
+                self.val.take(hist, out=vals[t:t + len(seg)])
+            live -= hits
+            if not live:
+                break
         if self.record:
-            after = (at >= 0) & (np.arange(len(u))[:, None] > at)
+            after = (at >= 0) & (np.arange(span)[:, None] > at)
             vals = np.where(after, vals[at, np.arange(slots)], vals)
         return at, vals
 
     def keep(self, live) -> None:
-        self.idx = self.idx[live]
+        self.pos = self.pos[live]
 
     def state(self, slot: int):
-        return self.table.states[self.idx[slot]]
+        return self.table.states[self.pos[slot] // self.stride]
 
     def values(self):
-        return self.val[self.idx]
+        return self.val[self.pos]
 
 
 def _low_bit(words: np.ndarray, none: int) -> np.ndarray:
@@ -466,12 +543,13 @@ class _LeadingOnesWalk:
 
 def _steps_in_lockstep(process: Process, trials: int) -> bool:
     """Whether the lockstep walker simulates these trials.  A lockstep
-    step costs about 8 µs of numpy calls however few trials are live,
-    and a chain's own step about 2 µs a trial, so chains with a few
-    trials stay on the loop.  The EA on LeadingOnes takes a block of
-    draws in a few numpy calls per improvement, where the loop pays a
-    bit-string step per draw.  A UniformPick walk has no lockstep walker
-    yet and takes the loop."""
+    step of a chain costs about 3 µs of numpy calls however few trials
+    are live, and a chain's own step 1-2 µs a trial, so chains with a
+    few trials stay on the loop; the hitting benchmark's chains ran
+    fastest handing over at 4 (3 to 6 within noise, 2 and 8 slower).
+    The EA on LeadingOnes takes a block of draws in a few numpy calls
+    per improvement, where the loop pays a bit-string step per draw.  A
+    UniformPick walk has no lockstep walker yet and takes the loop."""
     law = process.step_law
     if isinstance(law, KernelDraw):
         return trials > _FEW_TRIALS

@@ -307,7 +307,8 @@ def test_parameter_validation():
             call()
 
 
-@pytest.mark.parametrize("trials", [4, 100])  # the loop and the lockstep walker
+# the loop and the lockstep walker
+@pytest.mark.parametrize("trials", [_FEW_TRIALS, 25 * _FEW_TRIALS])
 def test_whole_valued_float_counts_are_taken_on_every_path(trials):
     proc = make_simple_chain("coupon", n=5)
     times = sample_hitting_times(proc, trials, 1, cap=10**6)
@@ -503,6 +504,29 @@ _CATALOG = {
     "EA-leadingones-p0.9": lambda: make_ea_process(
         "OnePlusOneEA", "leadingones", n=4, mutation_rate=0.9
     ),
+    # rows of five successors with a zero and a negative entry, whose sums
+    # fall below an earlier sum and rise again (so the count of sums at or
+    # below u is not _categorical's choice), and rows of three whose sums
+    # turn NaN
+    "running-max": lambda: _chain_process(
+        "running-max",
+        lambda s: ([(s - 1, 0.4), (s + 1, -0.2), (s, 0.0), (s + 2, 0.3), (s + 1, 0.5)] if s % 2
+                   else [(s - 1, 0.5), (s + 2, float("nan")), (s + 1, 0.5)]),
+        [(3, 0.5), (4, 0.5)], value=float, is_target=lambda s: s <= 0 or s >= 12,
+    ),
+    # rows of two, the first sum NaN at odd states: _categorical takes the
+    # last successor there
+    "nan-first": lambda: _chain_process(
+        "nan-first",
+        lambda s: [(s - 1, float("nan")), (s + 1, 0.5)] if s % 2 else [(s - 1, 0.6), (s + 1, 0.4)],
+        [(4, 1.0)], value=float, is_target=lambda s: s <= 0 or s >= 8,
+    ),
+    # one successor a row: a trial started at s hits at step s
+    "countdown": lambda: _chain_process(
+        "countdown", lambda s: [(s - 1, 1.0)],
+        [(3 * _FIRST_BLOCK + i, 0.25) for i in (1, 2, 3, 4)],
+        value=float, is_target=lambda s: s == 0,
+    ),
 }
 
 # (catalog name, trials, cap, horizon) at the lockstep walker's seams: one
@@ -510,7 +534,8 @@ _CATALOG = {
 # trajectories whose trials absorb at many different times, a second chunk
 # whose last few live trials go to the loop after its first block, a
 # loop-finished trial censored at the cap, and the EA's rounds of
-# improvements (_EA_SEAMS says which case reaches what)
+# improvements (_EA_SEAMS says which case reaches what), and a block of
+# four segments in whose first one every live trial hits
 _SEAMS = {
     "tail-in-second-chunk": ("winning_streak", _chunk_trials(1) + _FEW_TRIALS + 1, 10_000, 25),
     "censored-in-tail": ("gamblers_ruin", _FEW_TRIALS + 1, _FIRST_BLOCK + 5, 25),
@@ -526,6 +551,7 @@ _SEAMS = {
     "EA-starts-at-optimum": ("EA-leadingones-n3", 8, _FIRST_BLOCK + 5, 25),
     "EA-n=1": ("EA-leadingones-n1", 60, 10_000, 25),
     "EA-p=0.9": ("EA-leadingones-p0.9", 60, 10_000, 3 * _FIRST_BLOCK + 5),
+    "all-hit-in-first-segment": ("countdown", 60, 10_000, 5 * _FIRST_BLOCK),
 }
 
 # what an EA seam case reaches, read from the reference loop's hitting
@@ -656,10 +682,26 @@ def _small_chains(draw):
     )
 
 
+# caps and horizons past several segments of _FIRST_BLOCK steps, so that
+# states are first reached in the middle of one
 @settings(max_examples=50, deadline=None)
 @given(process=_small_chains(), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_random_chains_match_reference_loop_trial_by_trial(process, seed):
-    _assert_matches_reference(process, trials=20, seed=seed, cap=40, horizon=10)
+    _assert_matches_reference(process, trials=20, seed=seed, cap=5 * _FIRST_BLOCK + 3,
+                              horizon=3 * _FIRST_BLOCK + 5)
+
+
+def test_a_copy_with_other_targets_walks_the_table_of_its_original():
+    # the copy shares its original's KernelDraw and so its table, whose
+    # rows the original compiled: the copy's target 2 is such a row, which
+    # steps on after a hit, and the original's target 10 is not compiled
+    # yet, so the copy compiles it where its trials reach it
+    process = _CATALOG["gamblers_ruin"]()
+    _assert_matches_reference(process, trials=60, seed=17, cap=300, horizon=25)
+    copy = dataclasses.replace(process, is_target=lambda s: s == 2)
+    _assert_matches_reference(copy, trials=60, seed=17, cap=300, horizon=3 * _FIRST_BLOCK + 5)
+    times = sample_hitting_times(copy, trials=60, seed=17, cap=300)
+    assert (times > 0).any() and (times < 0).any()  # hits at 2, and trials held at 10
 
 
 @settings(max_examples=50, deadline=None)
