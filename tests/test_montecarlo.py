@@ -480,6 +480,7 @@ _CATALOG = {
         "OnePlusOneEA", "leadingones", n=8, mutation_rate=0.1
     ),
     "RLS-leadingones": lambda: make_ea_process("RLS", "leadingones", n=6),
+    "EA-linear": lambda: make_ea_process("OnePlusOneEA", "linear", weights=(5, 4, 3, 2, 1)),
     "sorting": lambda: make_sorting_process(4, (4, 3, 2, 1)),
     "two_sat": lambda: make_two_sat_process(planted_2sat(6, 8, seed=4)),
     # rows summing to 0.6: _categorical takes the last entry for u >= 0.6
