@@ -26,7 +26,7 @@ from .bounds import (
 )
 from .errors import ParameterError
 from .montecarlo import Z99, simulate_hitting, simulate_trajectory, trial_rng
-from .processes import FiniteChain, make_ea_process, make_simple_chain, to_finite_chain
+from .processes import make_ea_process, make_simple_chain, to_finite_chain
 from .report import VIOLATED, ComparisonRow, comparison_row
 
 _EXACT = 1e-9
@@ -160,37 +160,6 @@ def check_coupon_tails(seed: int = 0) -> ComparisonRow:
 # 5. LeadingOnes: closed-form expectation and exact visit probabilities
 # ---------------------------------------------------------------------------
 
-def _mask_leading_ones(x: int, n: int) -> int:
-    """LeadingOnes of an n-bit mask, bit i being position i."""
-    c = 0
-    while c < n and (x >> c) & 1:
-        c += 1
-    return c
-
-
-def _leadingones_bruteforce_chain(n: int, p: float) -> FiniteChain:
-    """Full 2^n-state transition matrix of the bit-flip hill climber on
-    the leading-ones landscape (masks as integers, bit i = position i)."""
-    size = 1 << n
-    kernel = np.zeros((size, size))
-    for x in range(size):
-        lo = _mask_leading_ones(x, n)
-        if lo == n:
-            kernel[x, x] = 1.0
-            continue
-        for mask in range(size):
-            pm = p ** bin(mask).count("1") * (1.0 - p) ** (n - bin(mask).count("1"))
-            y = x ^ mask
-            kernel[x, y if _mask_leading_ones(y, n) >= lo else x] += pm
-    start = np.full(size, 1.0 / size)
-    return FiniteChain(
-        states=tuple(range(size)),
-        kernel=kernel,
-        start=start,
-        targets=frozenset({size - 1}),
-    )
-
-
 def check_leadingones_exactness(seed: int = 0) -> ComparisonRow:
     n, p = 10, 0.1
     exact = oracle.leadingones_exact(n, p)
@@ -208,8 +177,8 @@ def check_leadingones_exactness(seed: int = 0) -> ComparisonRow:
         v=tuple(0.5 for _ in range(n)),
     )
     subs.append(("visit_formula", _close(bounds.flm_visit_upper(profile).bound, exact)))
-    small = _leadingones_bruteforce_chain(4, 0.25)
-    visits = oracle.visit_probabilities_exact(small, lambda x: _mask_leading_ones(x, 4))
+    small = make_ea_process("OnePlusOneEA", "leadingones", n=4, mutation_rate=0.25)
+    visits = oracle.visit_probabilities_exact(to_finite_chain(small), processes._leading_ones)
     for lv in range(4):
         subs.append((f"visit_l{lv}", _close(visits[lv], 0.5)))
     subs.append(("visit_top", _close(visits[4], 1.0)))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .oracle import _double_sum
+from .processes import _whole
 
 # directions a bound can take
 UPPER_ON_ET = "upper_on_ET"
@@ -826,14 +827,15 @@ def fixed_budget_variable(
     The limited-time variant adds the correction h~(0)/h~'(0) for
     processes whose drift condition stops at the target.
     """
-    if t < 0:
+    steps = _whole("fixed_budget_variable", "t", t)
+    if steps < 0:
         raise ParameterError("t must be non-negative")
     if variant not in ("unlimited", "limited"):
         raise ParameterError(f"unknown variant {variant!r}")
     grid = _grid_flags(h, 0.0, max(x0, 1.0))
     flags = (grid["greed_admitting"], grid["h_convex"])
     x = float(x0)
-    for _ in range(int(t)):
+    for _ in range(steps):
         x = x - h.eval(x)
     value = x
     if variant == "limited":

@@ -7,8 +7,8 @@ the streams of a chunk of trials at once (_trial_rngs), hashing every
 spawn key of the chunk in one numpy pass, and each such stream equals
 trial_rng's.  The reference for every simulation is the loop over a
 trial's Process interface (sample_initial, is_target, step).  A process
-whose step_law is a KernelDraw (kernel chains) or LeadingOnesEA (the
-(1+1) EA on LeadingOnes) is instead stepped by the lockstep walker: all
+whose step_law is a KernelDraw (kernel chains) or a BitFlipEA on
+LeadingOnes is instead stepped by the lockstep walker: all
 live trials of a chunk advance together in numpy, each reading its own
 stream in blocks, since rng.random(a) followed by rng.random(b) gives
 the numbers of rng.random(a + b).  A chain takes its block of draws a
@@ -35,7 +35,7 @@ from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .bounds import _grid_flags
 from .errors import ParameterError
-from .processes import KernelDraw, LeadingOnesEA, Process, _whole
+from .processes import BitFlipEA, KernelDraw, Process, _leading_ones, _whole
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _CAP = 10_000_000  # simulate_hitting's step cap when none is given
@@ -548,12 +548,12 @@ def _steps_in_lockstep(process: Process, trials: int) -> bool:
     few trials stay on the loop; the hitting benchmark's chains ran
     fastest handing over at 4 (3 to 6 within noise, 2 and 8 slower).
     The EA on LeadingOnes takes a block of draws in a few numpy calls
-    per improvement, where the loop pays a bit-string step per draw.  A
-    UniformPick walk has no lockstep walker yet and takes the loop."""
+    per improvement, where the loop pays a bit-string step per draw.  The
+    EA on linear functions and the UniformPick walks take the loop."""
     law = process.step_law
     if isinstance(law, KernelDraw):
         return trials > _FEW_TRIALS
-    return isinstance(law, LeadingOnesEA)
+    return isinstance(law, BitFlipEA) and law.fitness is _leading_ones
 
 
 def _chunk_trials(width: int) -> int:

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MonotonicityError, ParameterError, StructureError
-from .processes import FiniteChain, _rows_of
+from .processes import FiniteChain, _rows_of, _whole
 
 
 @dataclass(frozen=True)
@@ -287,18 +287,20 @@ def leadingones_level_chain(n: int, p: float) -> FiniteChain:
 def leadingones_fixed_budget_exact(n: int, p: float, t: int) -> float:
     """Exact E[LO_t] of the (1+1) EA on LeadingOnes after t steps, by
     pushing the start distribution of the level chain through t steps."""
-    if int(t) != t or t < 0:
+    t = _whole("leadingones_fixed_budget_exact", "t", t)
+    if t < 0:
         raise ParameterError("t must be a non-negative integer")
     chain = leadingones_level_chain(n, p)
     kernel = chain.kernel.toarray()
     dist = chain.start
-    for _ in range(int(t)):
+    for _ in range(t):
         dist = dist @ kernel
     return float(dist @ np.arange(n + 1))
 
 
 def harmonic(n: int) -> float:
     """The n-th harmonic number by direct summation."""
+    n = _whole("harmonic", "n", n)
     if n < 1:
         raise ParameterError("n must be >= 1")
     return float(np.sum(1.0 / np.arange(1, n + 1)))
@@ -307,24 +309,26 @@ def harmonic(n: int) -> float:
 def visit_probabilities_exact(chain: FiniteChain, levels) -> dict:
     """Exact probability that each level is ever occupied.
 
-    levels maps chain states to integer levels and must be monotone
-    non-decreasing along every positive-probability transition; the
-    offending edge is named otherwise.  So a walk enters a level at most
-    once from below: P(level L is occupied) is the start mass at L plus
-    start · (I - Q)^-1 b_L over the transient states (their strong
-    component has an entry leaving it), b_L the kernel mass from below L
-    into L.  One _solve_transient takes every level as a column of a
-    dense (states × levels) matrix, which suits a few thousand states.
+    levels maps chain states to integer levels (a callable or a dict
+    that must give every state one) and must be monotone non-decreasing
+    along every positive-probability transition; the state without a
+    level, or the offending edge, is named otherwise.  So a walk enters
+    a level at most once from below: P(level L is occupied) is the start
+    mass at L plus start · (I - Q)^-1 b_L over the transient states
+    (their strong component has an entry leaving it), b_L the kernel
+    mass from below L into L.  One _solve_transient takes every level as
+    a column of a dense (states × levels) matrix, which suits a few
+    thousand states.
     """
     import scipy.sparse.csgraph
 
-    if callable(levels):
-        level_of = levels
-    else:
+    if not callable(levels):
         table = dict(levels)
-        level_of = lambda s: table[s]
-
-    lv = np.array([level_of(s) for s in chain.states])
+        missing = [s for s in chain.states if s not in table]
+        if missing:
+            raise StructureError(f"levels give state {missing[0]!r} no level", offender=missing[0])
+        levels = table.__getitem__
+    lv = np.array([levels(s) for s in chain.states])
     r, c = _rows_of(chain.kernel.indptr), chain.kernel.indices
     down = np.flatnonzero(lv[c] < lv[r])
     if down.size:

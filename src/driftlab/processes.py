@@ -31,15 +31,17 @@ class KernelDraw:
 
 
 @dataclass(frozen=True)
-class LeadingOnesEA:
-    """step is the (1+1) EA on LeadingOnes over tuples of n 0/1 ints:
-    one rng.random(n) per step, bit i flips where its uniform is below
-    p, and the offspring is kept when its LeadingOnes value is not
-    lower.  The target is the all-ones string; distance is the value
-    view make_ea_process built (n - LeadingOnes)."""
+class BitFlipEA:
+    """step is the (1+1) EA over tuples of n 0/1 ints: one
+    rng.random(n) per step, bit i flips where its uniform is below p,
+    and the offspring is kept when its fitness is not lower.  The exact
+    kernel (n <= 10) gives each flip mask m mass p^|m| (1-p)^(n-|m|).
+    The target is the all-ones string; distance is the value view
+    make_ea_process built (n - LeadingOnes, or the zero bits' weight)."""
 
     n: int
     p: float
+    fitness: Callable[[State], float]
     distance: Callable[[State], float]
 
 
@@ -81,16 +83,17 @@ class Process:
         Exact one-step distribution; present when tractable.
     initial_support : tuple of (state, prob), optional
         Explicit initial distribution, needed for exact solving.
-    step_law : KernelDraw, LeadingOnesEA or UniformPick, optional
+    step_law : KernelDraw, BitFlipEA or UniformPick, optional
         How step uses its randomness.  montecarlo steps many trials at
         once with the same draws for KernelDraw (simple and distance
-        chains) and LeadingOnesEA; a UniformPick walk (recolour, vertex
-        cover, 2-SAT, sorting, RLS on bit strings) gets is_target, step
-        and exact_kernel from its law and is stepped trial by trial, as
-        is None, where only step itself says.  Its target is the law's
-        (no groups left, unless the law names another), and the three
-        compute the groups of a state once between them.  lift keeps
-        it; a process given another step must drop it.
+        chains) and BitFlipEA on LeadingOnes.  A BitFlipEA process (the
+        (1+1) EA on leadingones and linear) gets is_target, step and,
+        for n <= 10, exact_kernel from its law, and so does a
+        UniformPick walk (recolour, vertex cover, 2-SAT, sorting, RLS on
+        bit strings), whose three compute the groups of a state once
+        between them.  The rest are stepped trial by trial, as is None,
+        where only step itself says.  lift keeps the law; a process
+        given another step must drop it.
     """
 
     name: str
@@ -100,7 +103,7 @@ class Process:
     is_target: Callable[[State], bool]
     exact_kernel: Optional[Kernel] = None
     initial_support: Optional[tuple[tuple[State, float], ...]] = None
-    step_law: Union[KernelDraw, LeadingOnesEA, UniformPick, None] = None
+    step_law: Union[KernelDraw, BitFlipEA, UniformPick, None] = None
 
 
 def _rows_of(indptr: np.ndarray) -> np.ndarray:
@@ -711,22 +714,48 @@ def make_ea_process(
             name, UniformPick(lambda bits: every_bit, flip, is_target),
             sample_initial, value, support,
         )
+    return _bit_flip_process(name, BitFlipEA(n, p, fitness_bits, value), sample_initial, support)
+
+
+def _bit_flip_process(name, law: BitFlipEA, sample_initial, initial_support) -> Process:
+    """Assemble a Process whose target, step and, for n <= 10, exact
+    kernel follow law.  The kernel's tables are built on its first call:
+    the 2^n strings in product order, so that string x with the flips of
+    mask m is string x ^ m, their fitness and each mask's mass."""
+    n, p, fitness = law.n, law.p, law.fitness
+    optimum = (1,) * n
+    tables = []
 
     def step(bits, rng):
         mask = rng.random(n) < p
         if not mask.any():
             return bits
         cand = tuple(int(b) ^ int(m) for b, m in zip(bits, mask))
-        return cand if fitness_bits(cand) >= fitness_bits(bits) else bits
+        return cand if fitness(cand) >= fitness(bits) else bits
+
+    def exact_kernel(bits):
+        if not tables:
+            strings = list(product((0, 1), repeat=n))
+            flips = np.array(strings).sum(axis=1)
+            tables[:] = (strings, {s: x for x, s in enumerate(strings)},
+                         np.array([fitness(s) for s in strings]),
+                         p**flips * (1.0 - p) ** (n - flips))
+        strings, index, fit, mass = tables
+        x = index[bits]
+        cand = np.arange(len(strings)) ^ x
+        row = np.bincount(np.where(fit[cand] >= fit[x], cand, x), mass, len(strings))
+        succ = np.flatnonzero(row)
+        return list(zip([strings[y] for y in succ.tolist()], row[succ].tolist()))
 
     return Process(
         name=name,
         sample_initial=sample_initial,
         step=step,
-        value=value,
-        is_target=is_target,
-        initial_support=support,
-        step_law=LeadingOnesEA(n, p, value) if objective == "leadingones" else None,
+        value=law.distance,
+        is_target=lambda bits: bits == optimum,
+        exact_kernel=exact_kernel if n <= 10 else None,
+        initial_support=initial_support,
+        step_law=law,
     )
 
 

@@ -341,6 +341,14 @@ def test_fixed_budget_additive_variants():
         fixed_budget_additive(100.0, 0.5, 40, pr_t_le_t=1.5)
 
 
+def test_fixed_budget_variable_takes_a_whole_number_of_steps():
+    h = linear_drift(0.1)
+    with pytest.raises(errors.ParameterError, match=r"^fixed_budget_variable parameter 't' "
+                                                    r"must be a whole number, got 2\.5$"):
+        fixed_budget_variable(h, 100.0, 2.5)
+    assert fixed_budget_variable(h, 100.0, 2.0).bound == fixed_budget_variable(h, 100.0, 2).bound
+
+
 def test_fixed_budget_variable_iterates_geometric_decay():
     h = linear_drift(0.1)
     r = fixed_budget_variable(h, 100.0, 10)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from driftlab import bounds, cli, errors, processes
+from driftlab import bounds, cli, errors, oracle, processes
 from driftlab.cli import (
     load_config,
     main,
@@ -487,6 +487,20 @@ def test_oracle_command(capsys):
     assert out.strip() == "71.9547931429"
 
 
+def test_oracle_command_solves_the_ea_on_bit_strings_up_to_ten_bits(capsys):
+    assert main(["oracle", "OnePlusOneEA-leadingones(n=10,p=0.1)"]) == 0
+    assert capsys.readouterr().out == "84.0587395857\n"
+
+
+def test_run_takes_the_exact_path_for_the_ea_on_bit_strings(tmp_path, capsys):
+    # the oracle column holds E[T] of the 2^6-string chain
+    cfg = GOOD_CONFIG.replace("coupon(n=20)", "OnePlusOneEA-leadingones(n=6,p=0.2)")
+    assert main(["run", _write_config(tmp_path, cfg)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    oracle_value = float(dict(zip(header.split(","), row.split(",")))["oracle"])
+    assert oracle_value == pytest.approx(oracle.leadingones_exact(6, 0.2), rel=1e-9)
+
+
 def test_oracle_command_rejects_huge_state_space(capsys):
     code = main(["oracle", "OnePlusOneEA-leadingones(n=10000,p=0.0001)"])
     assert code == 2
@@ -506,6 +520,8 @@ def test_oracle_command_rejects_huge_state_space(capsys):
         ("RLS-onemax(n=4,p=0.9)", "RLS-onemax takes no mutation rate; RLS flips exactly one bit"),
         ("OnePlusOneEA-onemax(n=4,k=3)", "OnePlusOneEA-onemax takes no k; only plateau has a radius k"),
         ("updrift(n=10,k=100,delta=1)", "updrift(n=10,k=100,delta=1) has no exact kernel"),
+        ("OnePlusOneEA-leadingones(n=11,p=0.1)",
+         "OnePlusOneEA-leadingones(n=11,p=0.1) has no exact kernel"),
         ("updrift(n=0,k=100,delta=1)", "updrift requires n >= 1"),
         ("updrift(n=101,k=100,delta=1)", "updrift requires n <= k"),
         ("updrift(n=10,k=100,delta=-1)", "updrift requires delta > 0"),

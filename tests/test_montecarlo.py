@@ -32,8 +32,8 @@ from driftlab.potentials import (
     lift,
 )
 from driftlab.processes import (
+    BitFlipEA,
     KernelDraw,
-    LeadingOnesEA,
     UniformPick,
     _chain_process,
     make_ea_process,
@@ -189,6 +189,18 @@ def test_sampled_states_cap_verdict_at_indeterminate():
     )
     assert rep.overall == "indeterminate"
     assert rep.extras["sampled_states"]
+
+
+def test_condition_checks_on_the_ea_on_bit_strings_are_exact_up_to_ten_bits():
+    # the bit-flip law's kernel gives the exact drift up to n = 10, so a
+    # state list gets a verdict; from n = 11 the drift is sampled
+    for n, exact in ((10, True), (11, False)):
+        proc = make_ea_process("OnePlusOneEA", "leadingones", n=n, mutation_rate=0.2)
+        g = Potential(eval=proc.value, description="n - LO")
+        states = [(0,) * n, (1, 0) + (1,) * (n - 2)]
+        rep = verify_condition(proc, g, "monotone_M", state_set=states, samples=200)
+        assert rep.extras["exact"] is exact
+        assert rep.overall == ("pass" if exact else "indeterminate")
 
 
 def test_unknown_condition_rejected():
@@ -620,13 +632,14 @@ def test_lockstep_walker_takes_the_processes_its_step_law_describes():
     lockstep = {
         KernelDraw: ["coupon", "gamblers_ruin", "rumor", "EA-onemax", "RLS-plateau",
                      "lifted-coupon"],
-        LeadingOnesEA: ["EA-leadingones", "lifted-EA-leadingones"],
+        BitFlipEA: ["EA-leadingones", "lifted-EA-leadingones"],
     }
     loop = {
         "recolour": make_graph_process("recolour", graph),
         "two_sat": _CATALOG["two_sat"](),
         "RLS-leadingones": _CATALOG["RLS-leadingones"](),
         "sorting": _CATALOG["sorting"](),
+        "EA-linear": _CATALOG["EA-linear"](),
     }
     # the walker hands a chain's hitting times to the loop once at most
     # _FEW_TRIALS trials are live; at this cap more are still live, so
@@ -640,14 +653,15 @@ def test_lockstep_walker_takes_the_processes_its_step_law_describes():
             assert np.count_nonzero(censored) > _FEW_TRIALS, name
             assert _reference_steps(process, trials, cap) == 0, name
     for name, process in loop.items():
-        assert type(process.step_law) is UniformPick, name
+        assert type(process.step_law) is (BitFlipEA if name == "EA-linear" else UniformPick), name
         assert _reference_steps(process, _FEW_TRIALS + 1) > 0, name
     # a chain's own step is cheaper than a lockstep step of a few trials,
     # also for the last few live trials of a larger job; the EA's step on
     # a bit string is not
     assert _reference_steps(_CATALOG["coupon"](), _FEW_TRIALS) > 0
     assert _reference_steps(_CATALOG["gamblers_ruin"](), _FEW_TRIALS + 1) > 0
-    assert _reference_steps(_CATALOG["EA-leadingones"](), 1) == 0
+    for name in ("EA-leadingones", "lifted-EA-leadingones"):
+        assert _reference_steps(_CATALOG[name](), 1) == 0, name
 
 
 def _reference_steps(process, trials, cap=50):

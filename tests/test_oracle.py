@@ -563,3 +563,36 @@ def test_a_singular_kept_block_is_a_structure_error():
     with pytest.raises(errors.StructureError, match="singular") as exc:
         _solve_transient(kernel, keep, np.ones(3))
     assert exc.value.offender == 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_leadingones_level_chain_is_the_bit_chain_seen_by_its_level(n):
+    # weak lumpability: from the uniform start the EA's 2^n-string chain
+    # and the level chain take the closed form's time.  At p = 0.9 and
+    # n = 8 (E[T] = 6.2e6) the string chain's solve agrees to 5e-9 only
+    for p in (0.05, 0.3, 1.0 / (n + 1), 0.7):
+        ea = make_ea_process("OnePlusOneEA", "leadingones", n=n, mutation_rate=p)
+        exact = leadingones_exact(n, p)
+        assert hitting_time_exact(to_finite_chain(ea)).from_start == pytest.approx(exact, rel=1e-9)
+        level = hitting_time_exact(leadingones_level_chain(n, p)).from_start
+        assert level == pytest.approx(exact, rel=1e-9)
+
+
+def test_whole_number_arguments_are_checked():
+    with pytest.raises(errors.ParameterError,
+                       match=r"^harmonic parameter 'n' must be a whole number, got 2\.5$"):
+        harmonic(2.5)
+    assert harmonic(3.0) == harmonic(3)
+    for t in (math.nan, math.inf, 2.5):
+        with pytest.raises(errors.ParameterError, match="^leadingones_fixed_budget_exact "
+                           f"parameter 't' must be a whole number, got {t}$"):
+            leadingones_fixed_budget_exact(10, 0.1, t)
+    assert leadingones_fixed_budget_exact(10, 0.1, 3.0) == leadingones_fixed_budget_exact(
+        10, 0.1, 3)
+
+
+def test_visit_probabilities_name_a_state_the_levels_miss():
+    chain = to_finite_chain(make_simple_chain("coupon", n=4))
+    with pytest.raises(errors.StructureError, match="^levels give state 3 no level$") as exc:
+        visit_probabilities_exact(chain, {4: 0, 2: 2, 1: 3, 0: 4})
+    assert exc.value.offender == 3

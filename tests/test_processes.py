@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from driftlab.montecarlo import (
 )
 from driftlab.potentials import identity_potential
 from driftlab.processes import (
+    BitFlipEA,
     CnfInstance,
     GraphInstance,
     UniformPick,
@@ -504,3 +506,112 @@ def test_chain_start_distribution_matches_initial_support():
     for (state, p) in proc.initial_support:
         assert chain.start[chain.index_of(state)] == pytest.approx(p, abs=1e-12)
     assert chain.start.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# --- the (1+1) EA on bit strings: step and kernel from one bit-flip law ---
+
+_BIT_FLIP_EAS = {
+    "leadingones": lambda: make_ea_process("OnePlusOneEA", "leadingones", n=4, mutation_rate=0.3),
+    "linear": lambda: make_ea_process("OnePlusOneEA", "linear", weights=(3, 2, 1),
+                                      mutation_rate=0.4),
+    # 0.2 + 0.1 > 0.3 in floats, so the step keeps 100 -> 011 and refuses
+    # 011 -> 100; the kernel must round the fitness as the step does
+    "linear-rounding": lambda: make_ea_process("OnePlusOneEA", "linear", weights=(0.3, 0.2, 0.1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_BIT_FLIP_EAS))
+def test_bit_flip_step_and_kernel_follow_its_law(name):
+    # step draws exactly rng.random(n) and flips the bits whose uniform is
+    # below p, unless the fitness falls; the kernel gives each flip mask m
+    # the mass p^|m| (1-p)^(n-|m|), summed per successor
+    proc = _BIT_FLIP_EAS[name]()
+    law = proc.step_law
+    assert type(law) is BitFlipEA and proc.value is law.distance
+    n, p = law.n, law.p
+
+    def offspring(bits, mask):
+        cand = tuple(b ^ int(m) for b, m in zip(bits, mask))
+        return cand if law.fitness(cand) >= law.fitness(bits) else bits
+
+    for bits in itertools.product((0, 1), repeat=n):
+        assert proc.is_target(bits) == all(bits)
+        row = {}
+        for mask in itertools.product((0, 1), repeat=n):
+            succ = offspring(bits, mask)
+            row[succ] = row.get(succ, 0.0) + p ** sum(mask) * (1 - p) ** (n - sum(mask))
+        got = dict(proc.exact_kernel(bits))
+        assert got == pytest.approx(row, rel=1e-12, abs=0)
+        for trial in range(4):
+            rng = trial_rng(7, trial)
+            clone = copy.deepcopy(rng)
+            assert proc.step(bits, rng) == offspring(bits, clone.random(n) < p)
+            assert rng.bit_generator.state == clone.bit_generator.state
+
+
+def test_bit_flip_kernel_builds_its_tables_on_its_first_call():
+    n, calls = 10, []
+
+    def fitness(bits):
+        calls.append(bits)
+        return processes._leading_ones(bits)
+
+    sample_initial, support = processes._uniform_bits(n, (0, 1))
+    law = BitFlipEA(n, 0.1, fitness, lambda bits: 0.0)
+    proc = processes._bit_flip_process("EA", law, sample_initial, support)
+    assert calls == []
+    proc.exact_kernel((0,) * n)
+    assert len(calls) == 2**n
+    proc.exact_kernel((1, 0) * (n // 2))
+    assert len(calls) == 2**n
+    for big in (make_ea_process("OnePlusOneEA", "leadingones", n=11),
+                make_ea_process("OnePlusOneEA", "linear", weights=range(11, 0, -1))):
+        assert big.exact_kernel is None
+        with pytest.raises(errors.UnsupportedError, match="has no exact kernel"):
+            to_finite_chain(big)
+
+
+def _bits_process(algorithm, n, fitness):
+    """algorithm on tuples of n bits under fitness: the bit-flip law at
+    p = 0.3, or RLS's one uniform bit flip."""
+    sample_initial, support = processes._uniform_bits(n, (0, 1))
+    if algorithm == "OnePlusOneEA":
+        law = BitFlipEA(n, 0.3, fitness, lambda bits: 0.0)
+        return processes._bit_flip_process("EA", law, sample_initial, support)
+    every_bit = (range(n),)
+
+    def flip(bits, i):
+        cand = processes._bit_flip(bits, i)
+        return cand if fitness(cand) >= fitness(bits) else bits
+
+    law = UniformPick(lambda bits: every_bit, flip, all)
+    return processes._pick_process("RLS", law, sample_initial, lambda bits: 0.0, support)
+
+
+@pytest.mark.parametrize("algorithm", ["RLS", "OnePlusOneEA"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_distance_chains_are_the_bit_chains_lumped_by_hamming_distance(algorithm, n):
+    # strong lumpability (Kemeny & Snell, Finite Markov Chains, ch. 6):
+    # every string at distance d puts the mass of the distance chain's row
+    # d into each distance class, and the start lumps to its start
+    rate = {"mutation_rate": 0.3} if algorithm == "OnePlusOneEA" else {}
+    cases = [("onemax", None, lambda d: n - d)]
+    cases += [("plateau", k, lambda d, k=k: processes._plateau_fitness(d, n, k))
+              for k in sorted({2, (n + 1) // 2, n}) if 2 <= k <= n]
+    for objective, k, fitness in cases:
+        chain = to_finite_chain(_bits_process(algorithm, n, lambda bits: fitness(n - sum(bits))))
+        dist = n - np.array(chain.states).sum(axis=1)
+        rows = processes._rows_of(chain.kernel.indptr)
+        into = np.bincount(rows * (n + 1) + dist[chain.kernel.indices], chain.kernel.data,
+                           len(dist) * (n + 1)).reshape(len(dist), n + 1)
+        lumped = make_ea_process(algorithm, objective, n=n, k=k, **rate)
+        quotient = np.zeros((n + 1, n + 1))
+        for d in range(n + 1):
+            for e, q in lumped.exact_kernel(d):
+                quotient[d, e] += q
+        np.testing.assert_allclose(into, quotient[dist], rtol=0, atol=1e-12)
+        start = np.zeros(n + 1)
+        for d, q in lumped.initial_support:
+            start[d] += q
+        np.testing.assert_allclose(np.bincount(dist, chain.start, n + 1), start, rtol=0,
+                                   atol=1e-15)
