@@ -1,6 +1,6 @@
 """Seeded outputs pinned by digest: every catalog process and seam case
-of test_montecarlo gives the hitting times and mean curves stored in
-data/seeded_digests.json.
+of test_montecarlo, and the pick walks below, give the hitting times and
+mean curves stored in data/seeded_digests.json.
 
 The tests there compare each walker with the Process loop; a change
 that moves both alike (in _categorical, the trial streams or
@@ -18,20 +18,41 @@ import numpy as np
 import pytest
 
 from driftlab.montecarlo import _FEW_TRIALS, sample_hitting_times, simulate_trajectory
+from driftlab.processes import (
+    GraphInstance,
+    make_graph_process,
+    make_two_sat_process,
+    planted_2sat,
+    random_3colorable_graph,
+)
 from test_montecarlo import _CATALOG, _SEAMS
 
 _FILE = Path(__file__).parent / "data" / "seeded_digests.json"
 _SEEDS = (17, 3)
 _HEAD = 8  # leading values stored in the clear, shown when a digest differs
 
+# pick walks at the sizes the acceptance criteria simulate, and small
+# ones; a UniformPick walk always takes the loop, so one trial count
+_PICK_WALKS = {
+    "recolour-n30": lambda: make_graph_process(
+        "recolour", random_3colorable_graph(30, 0.5, seed=600)),
+    "recolour-n9": lambda: make_graph_process(
+        "recolour", random_3colorable_graph(9, 0.6, seed=1)),
+    "two_sat-n20": lambda: make_two_sat_process(planted_2sat(20, 40, seed=800)),
+    "vertex_cover-n6": lambda: make_graph_process("vertex_cover", GraphInstance(
+        n=6, edges=((0, 1), (0, 2), (0, 3), (3, 4), (4, 5)), cover=frozenset({0, 4}))),
+}
+_PROCESSES = {**_CATALOG, **_PICK_WALKS}
+
 
 def _configs() -> dict:
     """id -> (catalog name, trials, seed, cap or None, horizon or None):
-    every catalog process on both sides of the loop/lockstep split, and
-    every seam case, each with both seeds."""
+    every catalog process on both sides of the loop/lockstep split, every
+    seam case and every pick walk, each with both seeds."""
     cases = [(name, trials, 10_000, 25) for name in sorted(_CATALOG)
              for trials in (_FEW_TRIALS, 25 * _FEW_TRIALS)]
     cases += list(_SEAMS.values())
+    cases += [(name, 20, 10_000, 25) for name in sorted(_PICK_WALKS)]
     configs = {}
     for name, trials, cap, horizon in cases:
         for seed in _SEEDS:
@@ -43,7 +64,7 @@ def _configs() -> dict:
 
 def _output(name, trials, seed, cap, horizon) -> np.ndarray:
     """The int64 hitting times, or the float64 mean curve and band."""
-    process = _CATALOG[name]()
+    process = _PROCESSES[name]()
     if cap is not None:
         return sample_hitting_times(process, trials, seed, cap).astype("<i8")
     stats = simulate_trajectory(process, horizon, trials, seed)
