@@ -56,11 +56,16 @@ class UniformPick:
     pick order.  target(state) is the target predicate; None means a
     state is a target exactly when it has no groups.  groups must be a
     pure function of the state, so the process may compute them once
-    per state for its target, its step and its kernel."""
+    per state for its target, its step and its kernel.  regroup(groups,
+    entry, succ), optional, must return exactly groups(succ), as a list
+    in the same order, whenever groups is groups(state) and succ is
+    move(state, entry); step then hands the successor's groups on
+    without a scan."""
 
     groups: Callable[[State], Sequence[Sequence]]
     move: Callable[[State, Any], State]
     target: Optional[Callable[[State], bool]] = None
+    regroup: Optional[Callable[[Sequence, Any, State], Sequence]] = None
 
 
 @dataclass(frozen=True)
@@ -289,9 +294,12 @@ def _pick_process(name, law: UniformPick, sample_initial, value,
     law.  They share one memo of law.groups for the state asked about
     last, matched by identity: the loop asks is_target and then step of
     a state, to_finite_chain asks is_target and then exact_kernel, so
-    each visited state's groups are computed once.  The memo holds its
-    state, so no other state can take that state's id."""
+    each visited state's groups are computed once.  With law.regroup,
+    step leaves the memo on its successor, which the loop asks about
+    next, so a walk scans only its start.  The memo holds its state, so
+    no other state can take that state's id."""
     last = [object(), ()]
+    regroup = law.regroup
 
     def groups(state):
         if state is not last[0]:
@@ -303,7 +311,11 @@ def _pick_process(name, law: UniformPick, sample_initial, value,
         if not found:
             return state
         group = found[int(rng.integers(len(found)))] if len(found) > 1 else found[0]
-        return law.move(state, group[int(rng.integers(len(group)))])
+        entry = group[int(rng.integers(len(group)))]
+        succ = law.move(state, entry)
+        if regroup is not None:
+            last[:] = succ, regroup(found, entry, succ)
+        return succ
 
     def exact_kernel(state):
         found = groups(state)
@@ -808,12 +820,24 @@ def _make_recolour(instance: GraphInstance) -> Process:
     chi = instance.coloring
     u_set = tuple(v for v in range(n) if chi[v] in (0, 1))
     u_size = len(u_set)
+    through = [[] for _ in range(n)]  # the triangles at each vertex, in tris order
+    for t in tris:
+        for v in t:
+            through[v].append(t)
 
     def mono(coloring):
         return [
             t for t in tris
             if coloring[t[0]] == coloring[t[1]] == coloring[t[2]]
         ]
+
+    def regroup(found, v, coloring):
+        # flipping v breaks every monochromatic triangle through v and can
+        # make only triangles through v monochromatic; tris is sorted, so
+        # sorting restores its order
+        kept = [t for t in found if v not in t]
+        made = [t for t in through[v] if coloring[t[0]] == coloring[t[1]] == coloring[t[2]]]
+        return sorted(kept + made)
 
     def agreement(coloring):
         # vertices of U whose current binary color matches the planted class
@@ -825,9 +849,8 @@ def _make_recolour(instance: GraphInstance) -> Process:
         return float(agreement(coloring))
 
     sample_initial, support = _uniform_bits(n, (0, 1))
-    return _pick_process(
-        f"recolour(n={n})", UniformPick(mono, _bit_flip), sample_initial, value, support,
-    )
+    law = UniformPick(mono, _bit_flip, regroup=regroup)
+    return _pick_process(f"recolour(n={n})", law, sample_initial, value, support)
 
 
 def _make_vertex_cover(instance: GraphInstance) -> Process:
@@ -867,12 +890,14 @@ def make_two_sat_process(instance: CnfInstance) -> Process:
     n = instance.n
     clauses = instance.clauses
     planted = instance.assignment
+    # a clause as its two literals and its groups: its variables, as one group
+    rows = tuple((a, pa, b, pb, ((a, b),)) for (a, pa), (b, pb) in clauses)
 
     def unsat_variables(assignment):
-        # the variables of the first unsatisfied clause, as one group
-        for clause in clauses:
-            if not _clause_satisfied(clause, assignment):
-                return ((clause[0][0], clause[1][0]),)
+        # the groups of the first unsatisfied clause
+        for a, pa, b, pb, groups in rows:
+            if assignment[a] != pa and assignment[b] != pb:
+                return groups
         return ()
 
     def value(assignment):
@@ -892,6 +917,7 @@ def make_two_sat_process(instance: CnfInstance) -> Process:
 def make_sorting_process(n: int, start: tuple) -> Process:
     """Random-swap sorting: pick two positions uniformly, swap them if
     they form an inversion.  The value is the inversion count."""
+    n = _whole("sorting", "n", n)
     if n < 2:
         raise ParameterError("sorting requires n >= 2")
     start = tuple(start)
@@ -900,6 +926,7 @@ def make_sorting_process(n: int, start: tuple) -> Process:
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     every_pair = (pairs,)
+    goal = tuple(sorted(start))  # the one permutation without inversions
 
     def inversions(perm):
         return sum(1 for i, j in pairs if perm[i] > perm[j])
@@ -912,7 +939,7 @@ def make_sorting_process(n: int, start: tuple) -> Process:
         lst[i], lst[j] = lst[j], lst[i]
         return tuple(lst)
 
-    law = UniformPick(lambda perm: every_pair, swap_inversion, lambda perm: inversions(perm) == 0)
+    law = UniformPick(lambda perm: every_pair, swap_inversion, lambda perm: perm == goal)
     return _pick_process(
         f"sorting(n={n})", law, lambda rng: start, lambda perm: float(inversions(perm)),
         ((start, 1.0),),
@@ -988,12 +1015,20 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
 # Instance generators
 # ---------------------------------------------------------------------------
 
+def _check_edge_probability(spec: str, p) -> None:
+    """An edge probability outside [0, 1], NaN too, is an error naming it."""
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError(f"{spec} parameter 'edge_probability' must be in [0, 1], got {p!r}")
+
+
 def random_3colorable_graph(n: int, edge_probability: float, seed: int) -> GraphInstance:
     """Random graph with a planted proper 3-coloring.
 
     Vertices are split round-robin into three near-equal classes and
     each inter-class pair becomes an edge independently.
     """
+    n = _whole("random_3colorable_graph", "n", n)
+    _check_edge_probability("random_3colorable_graph", edge_probability)
     if n < 3:
         raise ParameterError("3-colorable generator requires n >= 3")
     rng = np.random.default_rng(seed)
@@ -1008,6 +1043,8 @@ def random_3colorable_graph(n: int, edge_probability: float, seed: int) -> Graph
 
 def random_graph(n: int, edge_probability: float, seed: int) -> GraphInstance:
     """Erdos-Renyi graph without planted structure."""
+    n = _whole("random_graph", "n", n)
+    _check_edge_probability("random_graph", edge_probability)
     if n < 1:
         raise ParameterError("random_graph requires n >= 1")
     rng = np.random.default_rng(seed)
@@ -1026,6 +1063,8 @@ def planted_2sat(n: int, m: int, seed: int) -> CnfInstance:
     variables and random polarities, then one literal is corrected (at
     random among the two) whenever the clause would be violated.
     """
+    n = _whole("planted_2sat", "n", n)
+    m = _whole("planted_2sat", "m", m)
     if n < 2:
         raise ParameterError("planted_2sat requires n >= 2")
     if m < 1:

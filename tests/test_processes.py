@@ -368,6 +368,90 @@ def test_pick_walk_scans_groups_once_per_visited_state():
     assert rep.per_state == tuple((d, 1.0, (1.0, 1.0), True) for d in range(1, 5))
 
 
+def test_pick_walk_with_regroup_scans_only_its_starts():
+    # the walk above, handing each successor's groups on: the loop scans
+    # each trial's start and no other state, and the hitting times and
+    # curves are the walk's without regroup
+    calls = []
+
+    def groups_of(d):
+        return () if d == 0 else ((-1, 1),) if d < 4 else ((-1,),)
+
+    def groups(d):
+        calls.append(d)
+        return groups_of(d)
+
+    def move(d, step):
+        return d + step
+
+    def walk(law):
+        return processes._pick_process("updown", law, lambda rng: 2, float, ((2, 1.0),))
+
+    law = UniformPick(groups, move, regroup=lambda found, step, d: groups_of(d))
+    proc, plain = walk(law), walk(UniformPick(groups, move))
+    times = sample_hitting_times(proc, 30, seed=4, cap=10_000)
+    assert calls == [2] * 30
+    assert np.array_equal(times, sample_hitting_times(plain, 30, seed=4, cap=10_000))
+    # a trial that ends at 2 leaves the memo on the next trial's start
+    calls.clear()
+    got = simulate_trajectory(proc, 12, 30, seed=4)
+    assert set(calls) == {2}
+    want = simulate_trajectory(plain, 12, 30, seed=4)
+    for field in ("mean", "ci_lo", "ci_hi"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    # the kernel does not regroup: to_finite_chain scans each state once
+    calls.clear()
+    chain = to_finite_chain(walk(law))
+    assert calls == list(chain.states) == [2, 1, 3, 0, 4]
+
+
+def test_recolour_regroups_each_successor_as_its_scan_does():
+    # along seeded walks at n = 30, every entry of every group of a
+    # visited state regroups to its successor's scanned groups, in order
+    checked = 0
+    for seed in (600, 601):
+        proc = make_graph_process("recolour", processes.random_3colorable_graph(30, 0.5, seed=seed))
+        law = proc.step_law
+        for trial in range(2):
+            rng = trial_rng(seed, trial)
+            state = proc.sample_initial(rng)
+            while not proc.is_target(state):
+                found = law.groups(state)
+                for group in found:
+                    for v in group:
+                        succ = law.move(state, v)
+                        assert law.regroup(found, v, succ) == law.groups(succ)
+                        checked += 1
+                state = proc.step(state, rng)
+    assert checked > 1000
+
+
+def test_two_sat_groups_are_the_first_clause_its_literals_reject():
+    rng = np.random.default_rng(5)
+    firsts = set()
+    for seed in range(4):
+        inst = processes.planted_2sat(20, 40, seed=seed)
+        law = make_two_sat_process(inst).step_law
+        planted = inst.assignment
+        near = [tuple(a != (i in flips) for i, a in enumerate(planted))
+                for flips in itertools.combinations(range(20), 2)]
+        uniform = [tuple(rng.integers(0, 2, size=20).astype(bool).tolist()) for _ in range(100)]
+        for assignment in [planted] + near + uniform:
+            rejected = [c for c in inst.clauses if not processes._clause_satisfied(c, assignment)]
+            want = ((rejected[0][0][0], rejected[0][1][0]),) if rejected else ()
+            assert law.groups(assignment) == want
+            firsts.add(inst.clauses.index(rejected[0]) if rejected else None)
+    # planted, early and late first clauses all occur
+    assert None in firsts and 0 in firsts and max(firsts - {None}) >= 20
+
+
+def test_sorting_target_is_the_sorted_permutation():
+    for start in ((4, 3, 2, 1, 5), (0, 2, 1, 3, 4)):
+        proc = make_sorting_process(5, start)
+        for perm in itertools.permutations(start):
+            assert proc.is_target(perm) == (proc.value(perm) == 0)
+
+
 def test_sorting_row_is_the_hand_enumeration_over_pairs():
     # pairs in order (0,1) (0,2) (0,3) (1,2) (1,3) (2,3); the inversions
     # of (2, 4, 1, 3) are at (0,2), (1,2) and (1,3)
@@ -472,6 +556,31 @@ def test_planted_2sat_is_satisfied_by_its_assignment():
     inst = processes.planted_2sat(10, 25, seed=7)
     for (v1, pol1), (v2, pol2) in inst.clauses:
         assert inst.assignment[v1] == pol1 or inst.assignment[v2] == pol2
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: processes.planted_2sat(20, 40.5, seed=1), "'m' must be a whole number"),
+        (lambda: processes.planted_2sat(2.5, 4, seed=1), "'n' must be a whole number"),
+        (lambda: processes.random_3colorable_graph(30.5, 0.5, seed=1), "'n' must be a whole"),
+        (lambda: processes.random_graph(9.5, 0.5, seed=1), "'n' must be a whole number"),
+        (lambda: make_sorting_process(4.5, (4, 3, 2, 1)), "'n' must be a whole number"),
+        (lambda: processes.random_3colorable_graph(30, 1.5, seed=1), "'edge_probability'"),
+        (lambda: processes.random_graph(9, -0.3, seed=1), "'edge_probability'"),
+        (lambda: processes.random_graph(9, float("nan"), seed=1), "'edge_probability'"),
+    ],
+)
+def test_instance_generators_name_a_bad_argument(build, message):
+    with pytest.raises(errors.ParameterError, match=message):
+        build()
+
+
+def test_instance_generators_take_whole_floats_as_ints():
+    assert processes.random_3colorable_graph(30.0, 0.5, seed=1) == \
+        processes.random_3colorable_graph(30, 0.5, seed=1)
+    assert processes.planted_2sat(20.0, 40.0, seed=1) == processes.planted_2sat(20, 40, seed=1)
+    assert make_sorting_process(4.0, (4, 3, 2, 1)).name == "sorting(n=4)"
 
 
 def test_cnf_instance_rejects_violated_planted():
