@@ -915,6 +915,8 @@ class WormaldSystem:
     lam: float
 
     def __post_init__(self):
+        if len(self.y0) != self.a:
+            raise ParameterError(f"a = {self.a} coordinates but {len(self.y0)} initial values")
         if any(abs(y) > self.m for y in self.y0):
             raise ParameterError("initial values must not exceed the scale m")
         if self.radius <= 0:

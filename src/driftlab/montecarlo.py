@@ -35,7 +35,7 @@ from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .bounds import _grid_flags
 from .errors import ParameterError
-from .processes import BitFlipEA, KernelDraw, Process, _leading_ones, _whole
+from .processes import BitFlipEA, KernelDraw, Process, _leading_ones, _natural
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _CAP = 10_000_000  # simulate_hitting's step cap when none is given
@@ -158,17 +158,6 @@ def _streams(seed: int, trials: int):
     """The streams of trials 0 .. trials - 1, built a chunk at a time."""
     for first in range(0, trials, _CHUNK):
         yield from _trial_rngs(seed, first, min(_CHUNK, trials - first))
-
-
-def _natural(spec: str, key: str, value, least: int = 0) -> int:
-    """A whole parameter as an int; a fractional one, or one below least,
-    is a ParameterError naming the entry and the parameter.  SeedSequence
-    takes seeds and spawn keys (trials) >= 0."""
-    value = _whole(spec, key, value)
-    if value < least:
-        bound = f"at least {least}" if least else "non-negative"
-        raise ParameterError(f"{spec} parameter {key!r} must be {bound}, got {value}")
-    return value
 
 
 def _hit_time(process: Process, state, rng, t: int, cap: int) -> int:

@@ -6,7 +6,7 @@ and level chain, harmonic numbers and exact level visit probabilities.
 """
 
 from dataclasses import dataclass
-from math import exp, inf, log
+from math import frexp, inf, ldexp
 from typing import Callable
 
 import numpy as np
@@ -174,14 +174,15 @@ def hitting_time_exact(chain: FiniteChain) -> HittingTimeSolution:
 
 
 def _double_sum(p_down, p_up, start: int) -> float:
-    """Sum over start levels s of sum over i >= s of the reciprocal
-    down-probability weighted by the running up/down ratio product.
+    """Sum over start levels s of the inner sums S_s = sum over i >= s of
+    the reciprocal down-probability weighted by the up/down ratio product.
 
     p_down[s-1] belongs to state s in [1..n], p_up[s] to state s in
-    [0..n-1] (p_up[0] is unused).  Products are tracked with running
-    updates and switch to log space once they leave the safe float
-    range; a zero up-probability truncates the inner sum exactly, and
-    a term beyond the float range counts as inf.
+    [0..n-1] (p_up[0] is unused).  One pass from the top takes
+    S_s = 1/p_down(s) + p_up(s)/p_down(s) * S_{s+1}, a zero ratio ending
+    the inner sum exactly.  S_{s+1} is carried as m * 2**e, e >= 0, so an
+    inner sum beyond the float range can come back into it further down;
+    the scaling is exact, and only a total beyond the range is inf.
     """
     p_down = [float(p) for p in p_down]
     p_up = [float(p) for p in p_up]
@@ -190,38 +191,24 @@ def _double_sum(p_down, p_up, start: int) -> float:
         raise ParameterError("p_up must cover states [0..n-1]")
     if not (0 <= start <= n):
         raise ParameterError(f"start {start} outside [0..{n}]")
-    for s, pd in enumerate(p_down, start=1):
-        if pd <= 0.0:
-            raise ParameterError(f"p_down at state {s} must be positive")
-    total = 0.0
-    for s in range(1, start + 1):
-        prod = 1.0
-        log_prod = 0.0
-        use_log = False
-        for i in range(s, n + 1):
-            pd = p_down[i - 1]
-            if use_log:
-                try:
-                    term = exp(log_prod - log(pd))
-                except OverflowError:
-                    term = inf
-            else:
-                term = prod / pd
-            total += term
-            if i < n:
-                ratio = p_up[i] / pd
-                if ratio == 0.0:
-                    break
-                if use_log:
-                    log_prod += log(ratio)
-                else:
-                    scaled = prod * ratio
-                    if 1e-300 < scaled < 1e300:
-                        prod = scaled
-                    else:
-                        use_log = True
-                        # a product that underflows to 0 takes its log from the factors
-                        log_prod = log(scaled) if scaled else log(prod) + log(ratio)
+    for s, (pd, pu) in enumerate(zip(p_down, [*p_up[1:], 0.0]), start=1):
+        if not (0.0 < pd < inf):
+            raise ParameterError(f"p_down at state {s} must be positive and finite, got {pd!r}")
+        if not (0.0 <= pu < inf):
+            raise ParameterError(f"p_up at state {s} must be non-negative and finite, got {pu!r}")
+    m, e, total = 0.0, 0, 0.0
+    for s in range(n, 0, -1):
+        pd = p_down[s - 1]
+        ratio = p_up[s] / pd if s < n else 0.0
+        if ratio:
+            m, k = frexp(ldexp(1.0 / pd, -e) + ratio * m)
+            e += k
+        else:
+            m, e = frexp(1.0 / pd)
+        if e < 0:  # a sum below 1 is a plain float; e >= 0 keeps ldexp(1/pd, -e) finite
+            m, e = ldexp(m, e), 0
+        if s <= start:
+            total += ldexp(m, e) if e <= 1024 else inf  # m < 1 keeps 2**1024 * m finite
     return total
 
 

@@ -267,6 +267,17 @@ def _whole(spec: str, key: str, value) -> int:
     raise ParameterError(f"{spec} parameter {key!r} must be a whole number, got {value!r}")
 
 
+def _natural(spec: str, key: str, value, least: int = 0) -> int:
+    """A whole parameter as an int; a fractional one, or one below least,
+    is a ParameterError naming the entry and the parameter.  SeedSequence
+    takes seeds and spawn keys (trials) >= 0."""
+    value = _whole(spec, key, value)
+    if value < least:
+        bound = f"at least {least}" if least else "non-negative"
+        raise ParameterError(f"{spec} parameter {key!r} must be {bound}, got {value}")
+    return value
+
+
 def _chain_process(name, kernel_map, start_pairs, value, is_target) -> Process:
     """Assemble a Process from an explicit kernel over hashable states."""
 
@@ -640,6 +651,10 @@ def make_ea_process(
     """
     if algorithm not in ("RLS", "OnePlusOneEA"):
         raise ParameterError(f"unknown algorithm {algorithm!r}")
+    if objective not in ("onemax", "leadingones", "plateau", "linear"):
+        raise ParameterError(
+            f"unknown objective {objective!r}; expected onemax, leadingones, plateau or linear"
+        )
     spec = f"{algorithm}-{objective}"
     if objective == "linear":
         if weights is None:
@@ -1031,7 +1046,7 @@ def random_3colorable_graph(n: int, edge_probability: float, seed: int) -> Graph
     _check_edge_probability("random_3colorable_graph", edge_probability)
     if n < 3:
         raise ParameterError("3-colorable generator requires n >= 3")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_natural("random_3colorable_graph", "seed", seed))
     chi = tuple(v % 3 for v in range(n))
     edges = []
     for u in range(n):
@@ -1047,7 +1062,7 @@ def random_graph(n: int, edge_probability: float, seed: int) -> GraphInstance:
     _check_edge_probability("random_graph", edge_probability)
     if n < 1:
         raise ParameterError("random_graph requires n >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_natural("random_graph", "seed", seed))
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -1069,7 +1084,7 @@ def planted_2sat(n: int, m: int, seed: int) -> CnfInstance:
         raise ParameterError("planted_2sat requires n >= 2")
     if m < 1:
         raise ParameterError("planted_2sat requires m >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_natural("planted_2sat", "seed", seed))
     assignment = tuple(bool(b) for b in rng.integers(0, 2, size=n))
     clauses = []
     for _ in range(m):

@@ -418,6 +418,12 @@ def test_wormald_exits_small_domain():
     assert traj.exit_x == pytest.approx(0.05, abs=2e-3)
 
 
+@pytest.mark.parametrize("a, y0", [(2, (50.0,)), (1, (50.0, 10.0))])
+def test_wormald_system_needs_one_initial_value_per_coordinate(a, y0):
+    with pytest.raises(errors.ParameterError, match=f"a = {a} coordinates but {len(y0)} initial"):
+        WormaldSystem(a=a, m=100.0, f=lambda x, z: (0.0,) * a, y0=y0, radius=1.0, lam=0.1)
+
+
 def test_wormald_accepts_initial_value_at_the_scale():
     WormaldSystem(a=1, m=100.0, f=lambda x, z: (0.0,), y0=(100.0,), radius=1.0, lam=0.1)
     with pytest.raises(errors.ParameterError):

@@ -406,6 +406,23 @@ def test_bound_command_prints_inf_when_the_double_sum_overflows(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fss.upper", "--params", "p_leave=0.5:0.5", "p_back=0:-0.3", "x0=2"],
+         "p_up at state 1 must be non-negative and finite, got -0.3"),
+        (["fss.lower", "--params", "p_fwd=0.5:0", "p_back_lb=0:0.3", "x0=2"],
+         "p_down at state 2 must be positive and finite, got 0.0"),
+    ],
+)
+def test_double_sum_bounds_name_a_bad_probability(argv, message, capsys):
+    code = main(["bound", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"drift: error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "params, message",
     [
         (["h=const:0", "x=1", "y=3"], "h must be positive on [1, 3], got h(1) = 0.0"),
@@ -527,6 +544,8 @@ def test_oracle_command_rejects_huge_state_space(capsys):
         ("updrift(n=10,k=100,delta=-1)", "updrift requires delta > 0"),
         ("updrift(n=10,k=100,delta=nan)", "updrift parameter 'delta' must be finite, got nan"),
         ("updrift(n=10,k=100.5,delta=1)", "updrift parameter 'k' must be a whole number, got 100.5"),
+        ("RLS-foo(n=5)",
+         "unknown objective 'foo'; expected onemax, leadingones, plateau or linear"),
     ],
 )
 def test_oracle_command_names_what_is_wrong_with_the_process(spec, message, capsys):

@@ -1,6 +1,7 @@
 """Exact hitting-time oracles against closed forms and each other."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from driftlab import errors, oracle
 from driftlab.oracle import (
+    _double_sum,
     _solve_transient,
     birth_death_exact,
     harmonic,
@@ -151,12 +153,81 @@ def test_birth_death_validates_inputs():
         birth_death_exact([0.5], [0.0], 2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _double_sum([math.nan], [0.0], 1),
+         "p_down at state 1 must be positive and finite, got nan"),
+        (lambda: _double_sum([0.5, math.inf], [0.0, 0.2], 1), "p_down at state 2 .* got inf"),
+        (lambda: birth_death_exact([0.5, 0.5], [0.0, math.nan], 2),
+         "p_up at state 1 must be non-negative and finite, got nan"),
+        (lambda: _double_sum([0.5, 0.5], [0.0, -0.3], 2), "p_up at state 1 .* got -0.3"),
+        (lambda: _double_sum([0.5] * 3, [0.0, 0.2, math.inf], 1), "p_up at state 2 .* got inf"),
+        # the lowest bad state is named, whichever list holds it
+        (lambda: _double_sum([0.5, 0.5, -1.0], [0.0, -0.2, 0.1], 3), "p_up at state 1 "),
+    ],
+)
+def test_double_sum_names_the_lowest_bad_probability(call, message):
+    with pytest.raises(errors.ParameterError, match=message):
+        call()
+
+
+def _exact_double_sum(p_down, p_up, start):
+    """The double sum in exact rationals, as a float (inf beyond the range)."""
+    n, inner, total = len(p_down), Fraction(0), Fraction(0)
+    for s in range(n, 0, -1):
+        ratio = Fraction(p_up[s]) / Fraction(p_down[s - 1]) if s < n else 0
+        inner = 1 / Fraction(p_down[s - 1]) + ratio * inner
+        if s <= start:
+            total += inner
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf
+
+
+def _extreme_ratio_chain(seed):
+    """Up/down ratios from 1e-200 to 1e200, one in ten of them zero."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    p_down = (10.0 ** rng.uniform(-3, 0, size=n)).tolist()
+    ratio = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-200, 200, size=n))
+    p_up = [0.0] + (ratio[1:] * p_down[1:]).tolist()
+    return p_down, p_up, int(rng.integers(0, n + 1))
+
+
+# n = 449: the inner sum from state 6 on is about 8^443, beyond the float
+# range, and p_up[5] = 1e-200 brings the one from state 5 back into it
+_BACK_IN_RANGE = ([0.1] * 449, [0.8] * 5 + [1e-200] + [0.8] * 443)
+
+
+@pytest.mark.parametrize(
+    "p_down, p_up, start",
+    [_extreme_ratio_chain(seed) for seed in range(40)]
+    + [(*_BACK_IN_RANGE, 5), (*_BACK_IN_RANGE, 6)]
+    # an inner sum of 1e-300 below a reciprocal of 1e30: no power of two
+    # taken from the small sum may scale the large term past the range
+    + [([1e-30, 1e300], [0.0, 0.5], 1)],
+)
+def test_double_sum_is_its_exact_value(p_down, p_up, start):
+    exact = _exact_double_sum(p_down, p_up, start)
+    assert _double_sum(p_down, p_up, start) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_reflecting_walk_double_sum_is_exact_from_every_start():
+    # the fair walk on [0..n] that reflects at n: E[T] from d is n^2 - (n-d)^2
+    n = 100
+    p_down, p_up = [0.5] * (n - 1) + [1.0], [0.0] + [0.5] * (n - 1)
+    assert [birth_death_exact(p_down, p_up, d) for d in range(n + 1)] == \
+        [float(n * n - (n - d) ** 2) for d in range(n + 1)]
+
+
 def test_birth_death_overflow_returns_inf():
     assert birth_death_exact([0.1] * 700, [0.0] + [0.8] * 699, 1) == math.inf
 
 
 def test_birth_death_product_underflowing_to_zero_stays_finite():
-    # the up/down product 4e-400 underflows to 0 before the log-space switch
+    # the up/down product 4e-400 underflows to 0 in plain floats
     assert birth_death_exact([0.5] * 3, [0.0, 1e-200, 1e-200], 1) == 2.0
 
 

@@ -256,6 +256,19 @@ def test_ea_process_refuses_a_parameter_it_would_ignore(algorithm, objective, ex
         make_ea_process(algorithm, objective, n=4, **extra)
 
 
+@pytest.mark.parametrize(
+    "algorithm, objective, message",
+    [
+        ("SA", "onemax", "unknown algorithm 'SA'"),
+        ("RLS", "foo", "unknown objective 'foo'; expected onemax, leadingones, plateau or linear"),
+        ("OnePlusOneEA", "OneMax", "unknown objective 'OneMax'"),
+    ],
+)
+def test_ea_process_names_an_unknown_algorithm_or_objective(algorithm, objective, message):
+    with pytest.raises(errors.ParameterError, match=message):
+        make_ea_process(algorithm, objective, n=5)
+
+
 def test_sorting_inversions_never_increase():
     start = (4, 3, 2, 1)
     proc = make_sorting_process(4, start)
@@ -569,6 +582,10 @@ def test_planted_2sat_is_satisfied_by_its_assignment():
         (lambda: processes.random_3colorable_graph(30, 1.5, seed=1), "'edge_probability'"),
         (lambda: processes.random_graph(9, -0.3, seed=1), "'edge_probability'"),
         (lambda: processes.random_graph(9, float("nan"), seed=1), "'edge_probability'"),
+        (lambda: processes.planted_2sat(20, 40, seed=-1), "'seed' must be non-negative, got -1"),
+        (lambda: processes.random_graph(9, 0.3, seed=1.5), "'seed' must be a whole number"),
+        # no seed would draw OS entropy, and the instance could not be rebuilt
+        (lambda: processes.random_3colorable_graph(9, 0.5, seed=None), "'seed' must be a whole"),
     ],
 )
 def test_instance_generators_name_a_bad_argument(build, message):
