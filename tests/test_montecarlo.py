@@ -540,6 +540,11 @@ _CATALOG = {
         [(3 * _FIRST_BLOCK + i, 0.25) for i in (1, 2, 3, 4)],
         value=float, is_target=lambda s: s == 0,
     ),
+    # half the trials start on the target
+    "starts-on-target": lambda: _chain_process(
+        "starts-on-target", lambda s: [(s - 1, 0.5), (s + 1, 0.5)],
+        [(0, 0.5), (2, 0.5)], value=float, is_target=lambda s: s in (0, 5),
+    ),
 }
 
 # (catalog name, trials, cap, horizon) at the lockstep walker's seams: one
@@ -565,6 +570,17 @@ _SEAMS = {
     "EA-n=1": ("EA-leadingones-n1", 60, 10_000, 25),
     "EA-p=0.9": ("EA-leadingones-p0.9", 60, 10_000, 3 * _FIRST_BLOCK + 5),
     "all-hit-in-first-segment": ("countdown", 60, 10_000, 5 * _FIRST_BLOCK),
+    # a chain's last few live trials: a tail inside the first chunk, rows
+    # first reached in the tail that widen the table (coupon's first row
+    # has one successor, its others two) and outgrow its rows, or that
+    # only need compiling; a cap inside a block of draws and one on a
+    # block's end; trials that start on the target
+    "tail-in-first-chunk": ("gamblers_ruin", 200, 10_000, 25),
+    "tail-widens-table": ("coupon", 3, 10_000, 25),
+    "tail-compiles-rows": ("EA-onemax", 3, 10_000, 25),
+    "tail-cap-in-block": ("gamblers_ruin", 20, _FIRST_BLOCK + 5, 25),
+    "tail-cap-on-block-end": ("gamblers_ruin", 20, 3 * _FIRST_BLOCK, 25),
+    "tail-starts-on-target": ("starts-on-target", 20, 10_000, 25),
 }
 
 # what an EA seam case reaches, read from the reference loop's hitting
