@@ -18,10 +18,12 @@ position in the chain's compiled table, and the segment's hits and
 first visits are read from its history at once.  The EA on LeadingOnes
 takes its block from improvement to improvement, since LO stays put in
 between; its draws per trial are the loop's, rng.random(n) a step.
-Once no more chain trials are live than the loop would take from the
-start, the loop finishes their hitting times from where the walker
-left them.  Hitting times and value curves equal the loop's trial by
-trial.
+Once at most _HAND_OFF chain trials are live, or from the start in a
+job of that many, each one's hitting time is finished in plain Python
+on the compiled table, one uniform at a time from blocks of its stream.
+On the loop, a UniformPick walk's rng.integers(k) calls are read from
+blocks of its stream's raw words (_RawDraws), as numpy would draw
+them.  Hitting times and value curves equal the loop's trial by trial.
 """
 
 import itertools
@@ -35,7 +37,7 @@ from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .bounds import _grid_flags
 from .errors import ParameterError
-from .processes import BitFlipEA, KernelDraw, Process, _leading_ones, _natural
+from .processes import BitFlipEA, KernelDraw, Process, UniformPick, _leading_ones, _natural
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _CAP = 10_000_000  # simulate_hitting's step cap when none is given
@@ -160,9 +162,61 @@ def _streams(seed: int, trials: int):
         yield from _trial_rngs(seed, first, min(_CHUNK, trials - first))
 
 
-def _hit_time(process: Process, state, rng, t: int, cap: int) -> int:
-    """The hitting time of a trial at state at time t, stepping it on
-    (-1 if the cap comes first)."""
+class _RawDraws:
+    """rng.integers(k), for 1 <= k < 2**32, read from blocks of rng's raw
+    64-bit words: call by call the Generator's own draws, for a stream
+    that nothing reads from directly any more.
+
+    numpy draws integers(k) by Lemire's multiply-and-reject on 32-bit
+    halves of raw words (D. Lemire, "Fast Random Integer Generation in an
+    Interval", ACM TOMACS 29(1), 2019): m = x·k for the next half x, again
+    while m mod 2**32 < (2**32 - k) mod k, and the result is m >> 32.  A
+    word gives its low half and keeps its high half for the next draw, as
+    the bit generator's has_uint32 buffer does, and a half that buffer
+    holds at the start (an odd-size integers(0, 2, size=n) leaves one)
+    comes first.  integers(1) draws nothing.  The blocks double from
+    _FIRST_BLOCK words, so a walk reads past its last draw; that is exact
+    only because each trial's stream is its own."""
+
+    def __init__(self, rng):
+        self.raw = rng.bit_generator.random_raw
+        state = rng.bit_generator.state
+        self.half = state["uinteger"] if state["has_uint32"] else None
+        self.words, self.block = iter(()), _FIRST_BLOCK
+
+    def _next_uint32(self) -> int:
+        half = self.half
+        if half is not None:
+            self.half = None
+            return half
+        word = next(self.words, None)
+        if word is None:
+            self.words = iter(self.raw(self.block).tolist())
+            self.block *= 2
+            word = next(self.words)
+        self.half = word >> 32
+        return word & _M32
+
+    def integers(self, k: int) -> int:
+        if not 1 <= k <= _M32:
+            raise ValueError(f"integers({k}) needs 1 <= k < 2**32")
+        if k == 1:
+            return 0
+        m = self._next_uint32() * k
+        if m & _M32 < k:  # the rejection floor is below k
+            floor = (_M32 + 1 - k) % k
+            while m & _M32 < floor:
+                m = self._next_uint32() * k
+        return m >> 32
+
+
+def _hit_time(process: Process, state, rng, cap: int) -> int:
+    """The hitting time of a trial started at state, stepping it on (-1
+    if the cap comes first).  A UniformPick walk draws its integers from
+    rng's raw words."""
+    if type(process.step_law) is UniformPick:
+        rng = _RawDraws(rng)
+    t = 0
     while not process.is_target(state):
         if t == cap:
             return -1
@@ -178,11 +232,13 @@ def sample_hitting_times(
     seed = _natural("sample_hitting_times", "seed", seed)
     trials = _natural("sample_hitting_times", "trials", trials, 1)
     cap = _natural("sample_hitting_times", "cap", cap, 1)
-    if _steps_in_lockstep(process, trials):
+    # a chain takes the lockstep walker at any trial count: it hands its
+    # last few live trials, or all of a few, to its walk on compiled rows
+    if isinstance(process.step_law, KernelDraw) or _steps_in_lockstep(process, trials):
         return _lockstep(process, trials, seed, cap)
     times = np.empty(trials, dtype=np.int64)
     for trial, rng in enumerate(_streams(seed, trials)):
-        times[trial] = _hit_time(process, process.sample_initial(rng), rng, 0, cap)
+        times[trial] = _hit_time(process, process.sample_initial(rng), rng, cap)
     return times
 
 
@@ -190,7 +246,8 @@ def sample_hitting_times(
 # Lockstep walker
 # ---------------------------------------------------------------------------
 
-_FEW_TRIALS = 4  # a chain simulated with no more trials than this takes the loop
+_FEW_TRIALS = 4  # a chain's mean curve over no more trials than this takes the loop
+_HAND_OFF = 32  # live trials the lockstep walker hands to a chain's walk on compiled rows
 _CHUNK = 4096  # trials started together
 _BLOCK_UNIFORMS = 1 << 19  # uniforms (and recorded values) held per block
 _FIRST_BLOCK = 16  # steps in a chunk's first block; each next block doubles
@@ -403,11 +460,52 @@ class _KernelWalk:
             vals = np.where(after, vals[at, np.arange(slots)], vals)
         return at, vals
 
+    def finish(self, rngs, t: int, cap: int) -> list:
+        """The hitting time of each slot (-1 if the cap comes first),
+        walked on alone from its position at time t in Python, over the
+        table's rows as lists: a step takes the first column whose
+        threshold is above u, as _walk does.  A slot's uniforms come in
+        blocks that double from _FIRST_BLOCK, none past the cap, so a
+        block may run on past the hit; the hitting time is still exact
+        because each trial's stream is its own and nothing reads it
+        after the hit.  A row first reached here is visited on arrival,
+        and stepped from at once when that compiled it; the lists are
+        then taken again, and if the table widened, the slots' positions
+        are rescaled as _segment rescales its history."""
+        succ, cut, flag = self._lists()
+        times = []
+        for slot, rng in enumerate(rngs):
+            pos, now, block, hit = int(self.pos[slot]), t, _FIRST_BLOCK, -1
+            while hit < 0 and now < cap:
+                span = min(block, cap - now)
+                block *= 2
+                for u in rng.random(span).tolist():
+                    while u >= cut[pos]:
+                        pos += 1
+                    pos = succ[pos]
+                    now += 1
+                    if flag[pos]:
+                        if flag[pos] == 1:
+                            stride = self.stride
+                            if self._visit(pos // stride):
+                                self.pos //= stride
+                                self.pos *= self.stride
+                                pos = pos // stride * self.stride
+                                succ, cut, flag = self._lists()
+                            else:
+                                flag[pos] = int(self.flag[pos])
+                        if flag[pos] == 2:
+                            hit = now
+                            break
+            times.append(hit)
+        return times
+
+    def _lists(self):
+        """The table's successors and thresholds and the flags, flat, as lists."""
+        return self.table.succ.ravel().tolist(), self.table.cut.ravel().tolist(), self.flag.tolist()
+
     def keep(self, live) -> None:
         self.pos = self.pos[live]
-
-    def state(self, slot: int):
-        return self.table.states[self.pos[slot] // self.stride]
 
     def values(self):
         return self.val[self.pos]
@@ -531,14 +629,14 @@ class _LeadingOnesWalk:
 
 
 def _steps_in_lockstep(process: Process, trials: int) -> bool:
-    """Whether the lockstep walker simulates these trials.  A lockstep
-    step of a chain costs about 3 µs of numpy calls however few trials
-    are live, and a chain's own step 1-2 µs a trial, so chains with a
-    few trials stay on the loop; the hitting benchmark's chains ran
-    fastest handing over at 4 (3 to 6 within noise, 2 and 8 slower).
-    The EA on LeadingOnes takes a block of draws in a few numpy calls
-    per improvement, where the loop pays a bit-string step per draw.  The
-    EA on linear functions and the UniformPick walks take the loop."""
+    """Whether the lockstep walker simulates these trials, for a mean
+    curve; hitting times of a chain take it at any count (see _lockstep).
+    A lockstep step of a chain costs about 2.6 µs of numpy calls however
+    few trials are live, and the loop's own step 1-2 µs a trial, so a
+    chain's curve over a few trials stays on the loop.  The EA on
+    LeadingOnes takes a block of draws in a few numpy calls per
+    improvement, where the loop pays a bit-string step per draw.  The EA
+    on linear functions and the UniformPick walks take the loop."""
     law = process.step_law
     if isinstance(law, KernelDraw):
         return trials > _FEW_TRIALS
@@ -562,13 +660,14 @@ def _lockstep(process: Process, trials: int, seed: int, steps: int, sums=None) -
     steps and gives each slot's step of reaching the target within them
     (-1 if none) and, when recording, the (span, slots) values after
     each step, the value at the hit held after it; keep(mask) compacts
-    the slots, values() gives each slot's process value and state(slot)
-    its state.
+    the slots and values() gives each slot's process value.
 
-    For hitting times, once so few trials are live that a job of that
-    many would take the loop, each live trial's hitting time is finished
-    by the loop from the walker's state at a block boundary: its stream
-    has then given exactly the draws of the steps taken."""
+    For a chain's hitting times, once at most _HAND_OFF trials are live
+    at a block boundary (at once, for a job of that many), the chain
+    walker's finish walks each of them on alone in Python: a lockstep
+    step costs about 2.6 µs of numpy calls however few slots are live,
+    a step on the rows as lists about 80 ns.  Each stream has then given
+    exactly the draws of the steps taken."""
     record = sums is not None
     if isinstance(process.step_law, KernelDraw):
         walk = _KernelWalk(process, record)
@@ -594,9 +693,8 @@ def _lockstep(process: Process, trials: int, seed: int, steps: int, sums=None) -
             live = len(pos)
             if t == steps or not (live or record):
                 break
-            if not record and not _steps_in_lockstep(process, live):
-                for slot, rng in enumerate(rngs):
-                    times[first + pos[slot]] = _hit_time(process, walk.state(slot), rng, t, steps)
+            if not record and live <= _HAND_OFF and isinstance(walk, _KernelWalk):
+                times[first + pos] = walk.finish(rngs, t, steps)
                 break
             span = _BLOCK_UNIFORMS // max(live * walk.width, size if record else 1)
             span = min(block, steps - t, max(1, span))
@@ -654,9 +752,10 @@ def simulate_hitting(
     process: Process, trials: int, seed: int, cap: Optional[int] = None
 ) -> RunStats:
     """Empirical hitting-time statistics over independent trials."""
-    cap = _CAP if cap is None else cap
-    times = sample_hitting_times(process, trials, seed, cap)
-    return _stats_from_times(times, int(cap))  # sample_hitting_times checked it is whole
+    seed = _natural("simulate_hitting", "seed", seed)
+    trials = _natural("simulate_hitting", "trials", trials, 1)
+    cap = _CAP if cap is None else _natural("simulate_hitting", "cap", cap, 1)
+    return _stats_from_times(sample_hitting_times(process, trials, seed, cap), cap)
 
 
 @dataclass(frozen=True)
@@ -927,6 +1026,7 @@ def wilson_interval(successes: int, trials: int) -> tuple:
 def tail_frequency(process: Process, time_threshold: int, trials: int, seed: int):
     """Empirical Pr[T > threshold] with a Wilson 99% CI."""
     seed = _natural("tail_frequency", "seed", seed)
+    trials = _natural("tail_frequency", "trials", trials, 1)
     threshold = _natural("tail_frequency", "time_threshold", time_threshold)
     times = sample_hitting_times(process, trials, seed, cap=max(threshold, 1))
     exceed = int(np.sum((times < 0) | (times > threshold)))

@@ -182,7 +182,8 @@ def _double_sum(p_down, p_up, start: int) -> float:
     S_s = 1/p_down(s) + p_up(s)/p_down(s) * S_{s+1}, a zero ratio ending
     the inner sum exactly.  S_{s+1} is carried as m * 2**e, e >= 0, so an
     inner sum beyond the float range can come back into it further down;
-    the scaling is exact, and only a total beyond the range is inf.
+    a ratio beyond the range moves its power of two into e the same way.
+    The scaling is exact, and only a total beyond the range is inf.
     """
     p_down = [float(p) for p in p_down]
     p_up = [float(p) for p in p_up]
@@ -200,6 +201,9 @@ def _double_sum(p_down, p_up, start: int) -> float:
     for s in range(n, 0, -1):
         pd = p_down[s - 1]
         ratio = p_up[s] / pd if s < n else 0.0
+        if ratio == inf:  # carry the ratio's power of two in e instead
+            (um, uk), (dm, dk) = frexp(p_up[s]), frexp(pd)
+            ratio, e = um / dm, e + uk - dk
         if ratio:
             m, k = frexp(ldexp(1.0 / pd, -e) + ratio * m)
             e += k

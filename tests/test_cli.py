@@ -592,7 +592,16 @@ def test_simulate_command_names_a_negative_seed(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == (
-        "drift: error: sample_hitting_times parameter 'seed' must be non-negative, got -1\n"
+        "drift: error: simulate_hitting parameter 'seed' must be non-negative, got -1\n"
+    )
+
+
+def test_simulate_command_names_a_trial_count_below_one(capsys):
+    code = main(["simulate", "coupon(n=5)", "--trials", "0", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "drift: error: simulate_hitting parameter 'trials' must be at least 1, got 0\n"
     )
 
 

@@ -314,6 +314,13 @@ def test_parameter_validation():
         ("verify_condition", lambda: verify_condition(
             proc, identity_potential(), "additive_D", [2], samples=0, delta=0.1),
          "samples", "must be at least 1, got 0"),
+        # the entries that hand their counts on name themselves
+        ("simulate_hitting", lambda: simulate_hitting(proc, 0, 1), "trials",
+         "must be at least 1, got 0"),
+        ("simulate_hitting", lambda: simulate_hitting(proc, 5, 1, cap=0), "cap",
+         "must be at least 1, got 0"),
+        ("tail_frequency", lambda: tail_frequency(proc, 3, 0, 1), "trials",
+         "must be at least 1, got 0"),
     ):
         with pytest.raises(errors.ParameterError, match=f"^{spec} parameter '{key}' {problem}$"):
             call()
@@ -400,8 +407,8 @@ def test_simulations_build_streams_a_chunk_at_a_time(monkeypatch):
         raise AssertionError(f"trial_rng({seed}, {trial}) called")
 
     monkeypatch.setattr(montecarlo, "trial_rng", refuse)
-    # the lockstep walker, its hand-off to the loop, and a UniformPick walk
-    # on the loop
+    # the lockstep walker, its hand-off to the chain's walk on compiled
+    # rows, and a UniformPick walk on the loop
     for process in (_CATALOG["gamblers_ruin"](), _CATALOG["two_sat"]()):
         sample_hitting_times(process, trials=60, seed=17, cap=10_000)
         simulate_trajectory(process, horizon=25, trials=60, seed=17)
@@ -415,7 +422,7 @@ def test_every_simulation_entry_names_a_bad_seed(seed, problem):
     proc = make_simple_chain("coupon", n=5)
     for spec, call in (
         ("sample_hitting_times", lambda: sample_hitting_times(proc, 4, seed, cap=10)),
-        ("sample_hitting_times", lambda: simulate_hitting(proc, 100, seed, cap=10)),
+        ("simulate_hitting", lambda: simulate_hitting(proc, 100, seed, cap=10)),
         ("simulate_trajectory", lambda: simulate_trajectory(proc, 10, 4, seed)),
         ("sample_trajectory", lambda: sample_trajectory(proc, 10, seed)),
         ("tail_frequency", lambda: tail_frequency(proc, 5, 4, seed)),
@@ -429,6 +436,32 @@ def test_every_simulation_entry_names_a_bad_seed(seed, problem):
     assert np.array_equal(sample_hitting_times(proc, 100, 3.0, 50),
                           sample_hitting_times(proc, 100, 3, 50))
     assert np.array_equal(sample_trajectory(proc, 10, 3.0), sample_trajectory(proc, 10, 3))
+
+
+_PICK_SIZES = (1, 2, 3, 7, 2**31 - 1, 2**31 + 1, 3 * 2**30, 2**32 - 1)
+
+
+# near 2**32 half of the draws of 2**31 + 1 and a quarter of 3 * 2**30's
+# are rejected; a start draw of odd size leaves a half-word buffered
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+       start=st.sampled_from([0, 1, 9, 31]),
+       sizes=st.lists(st.sampled_from(_PICK_SIZES), min_size=1, max_size=300))
+def test_raw_draws_give_the_generators_integers(seed, start, sizes):
+    rng = np.random.default_rng(seed)
+    if start:
+        rng.integers(0, 2, size=start)
+    twin = np.random.Generator(np.random.PCG64())
+    twin.bit_generator.state = rng.bit_generator.state
+    draws = montecarlo._RawDraws(rng)
+    for k in sizes:
+        assert draws.integers(k) == twin.integers(k), k
+
+
+@pytest.mark.parametrize("k", [0, 2**32])
+def test_raw_draws_refuse_a_size_outside_one_to_two_to_the_32(k):
+    with pytest.raises(ValueError):
+        montecarlo._RawDraws(np.random.default_rng(1)).integers(k)
 
 
 def test_trial_rng_streams_are_distinct():
@@ -550,10 +583,10 @@ _CATALOG = {
 # (catalog name, trials, cap, horizon) at the lockstep walker's seams: one
 # trial past a chunk, a cap and a horizon that cut a block of draws short,
 # trajectories whose trials absorb at many different times, a second chunk
-# whose last few live trials go to the loop after its first block, a
-# loop-finished trial censored at the cap, and the EA's rounds of
-# improvements (_EA_SEAMS says which case reaches what), and a block of
-# four segments in whose first one every live trial hits
+# whose last few live trials finish off the walker, a trial censored at
+# the cap after that, and the EA's rounds of improvements (_EA_SEAMS says
+# which case reaches what), and a block of four segments in whose first
+# one every live trial hits
 _SEAMS = {
     "tail-in-second-chunk": ("winning_streak", _chunk_trials(1) + _FEW_TRIALS + 1, 10_000, 25),
     "censored-in-tail": ("gamblers_ruin", _FEW_TRIALS + 1, _FIRST_BLOCK + 5, 25),
@@ -611,6 +644,46 @@ def test_leadingones_seam_cases_reach_their_seam(seam):
     assert _EA_SEAMS[seam](times, curves[:, 1:] < curves[:, :-1])
 
 
+# what a tail seam case reaches, read from its hitting times, from each
+# hand-off to _KernelWalk.finish as (live slots, t, table width, table
+# rows held, rows compiled) and from the table after the run; a tail of
+# at most _HAND_OFF trials starts at t = 0 and takes blocks of
+# _FIRST_BLOCK, 2 _FIRST_BLOCK, ... draws
+_TAIL_SEAMS = {
+    "tail-in-first-chunk": lambda times, calls, table: calls[0][:2] > (0, 0),
+    "tail-widens-table": lambda times, calls, table: (
+        calls[0][2:4] == (1, 8) and table.width == 2 and len(table.succ) > 8),
+    "tail-compiles-rows": lambda times, calls, table: sum(table.ready) > calls[0][4],
+    "tail-cap-in-block": lambda times, calls, table: _censored_in_second_block(times, calls),
+    "tail-cap-on-block-end": lambda times, calls, table: _censored_in_second_block(times, calls),
+    "tail-starts-on-target": lambda times, calls, table: (
+        (times == 0).any() and calls[0][0] == np.count_nonzero(times)),
+}
+
+
+def _censored_in_second_block(times, calls) -> bool:
+    """Whether the tail started at t = 0, some trial hit within its
+    second block and another was censored at the cap."""
+    return calls[0][1] == 0 and times.max() > _FIRST_BLOCK and (times < 0).any()
+
+
+@pytest.mark.parametrize("seam", sorted(_TAIL_SEAMS))
+def test_tail_seam_cases_reach_their_seam(seam, monkeypatch):
+    name, trials, cap, horizon = _SEAMS[seam]
+    process, calls = _CATALOG[name](), []
+    finish = montecarlo._KernelWalk.finish
+
+    def spy(walk, rngs, t, cap):
+        table = walk.table
+        calls.append((len(rngs), t, table.width, len(table.succ), sum(table.ready)))
+        return finish(walk, rngs, t, cap)
+
+    monkeypatch.setattr(montecarlo._KernelWalk, "finish", spy)
+    times = sample_hitting_times(process, trials, 17, cap)
+    assert len(calls) == 1
+    assert _TAIL_SEAMS[seam](times, calls, montecarlo._TABLES[process.step_law])
+
+
 # caps and horizons reach past the first block of _FIRST_BLOCK steps
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(min_value=1, max_value=12),
@@ -657,31 +730,26 @@ def test_lockstep_walker_takes_the_processes_its_step_law_describes():
         "sorting": _CATALOG["sorting"](),
         "EA-linear": _CATALOG["EA-linear"](),
     }
-    # the walker hands a chain's hitting times to the loop once at most
-    # _FEW_TRIALS trials are live; at this cap more are still live, so
-    # every step up to it is a lockstep step
-    trials, cap = 8 * _FEW_TRIALS, 20
+    # a chain's hitting times never take Process.step: the walker hands
+    # its last few live trials, or all of a few, to the chain's walk on
+    # compiled rows.  Its mean curve over a few trials takes the loop,
+    # which records values on the way; the EA's curve never does
     for law, names in lockstep.items():
         for name in names:
             process = _CATALOG[name]()
             assert type(process.step_law) is law, name
-            censored = sample_hitting_times(process, trials, seed=3, cap=cap) < 0
-            assert np.count_nonzero(censored) > _FEW_TRIALS, name
-            assert _reference_steps(process, trials, cap) == 0, name
+            for trials in (1, _FEW_TRIALS, _FEW_TRIALS + 1, 100):
+                hitting, curve = _reference_steps(process, trials)
+                assert hitting == 0, (name, trials)
+                assert (curve > 0) is (law is KernelDraw and trials <= _FEW_TRIALS), (name, trials)
     for name, process in loop.items():
         assert type(process.step_law) is (BitFlipEA if name == "EA-linear" else UniformPick), name
-        assert _reference_steps(process, _FEW_TRIALS + 1) > 0, name
-    # a chain's own step is cheaper than a lockstep step of a few trials,
-    # also for the last few live trials of a larger job; the EA's step on
-    # a bit string is not
-    assert _reference_steps(_CATALOG["coupon"](), _FEW_TRIALS) > 0
-    assert _reference_steps(_CATALOG["gamblers_ruin"](), _FEW_TRIALS + 1) > 0
-    for name in ("EA-leadingones", "lifted-EA-leadingones"):
-        assert _reference_steps(_CATALOG[name](), 1) == 0, name
+        assert min(_reference_steps(process, _FEW_TRIALS + 1)) > 0, name
 
 
-def _reference_steps(process, trials, cap=50):
-    """Calls of Process.step while simulating hitting times and a mean curve."""
+def _reference_steps(process, trials):
+    """Calls of Process.step while simulating hitting times, and while
+    simulating a mean curve."""
     calls = []
 
     def step(state, rng):
@@ -689,9 +757,10 @@ def _reference_steps(process, trials, cap=50):
         return process.step(state, rng)
 
     counted = dataclasses.replace(process, step=step)
-    sample_hitting_times(counted, trials=trials, seed=3, cap=cap)
+    sample_hitting_times(counted, trials=trials, seed=3, cap=50)
+    hitting = len(calls)
     simulate_trajectory(counted, horizon=20, trials=trials, seed=3)
-    return len(calls)
+    return hitting, len(calls) - hitting
 
 
 @st.composite

@@ -207,7 +207,12 @@ _BACK_IN_RANGE = ([0.1] * 449, [0.8] * 5 + [1e-200] + [0.8] * 443)
     + [(*_BACK_IN_RANGE, 5), (*_BACK_IN_RANGE, 6)]
     # an inner sum of 1e-300 below a reciprocal of 1e30: no power of two
     # taken from the small sum may scale the large term past the range
-    + [([1e-30, 1e300], [0.0, 0.5], 1)],
+    + [([1e-30, 1e300], [0.0, 0.5], 1)]
+    # the ratio 1e200 / 1e-300 is beyond the range, its inner sum is not
+    + [([1e-300, 1e300], [0.0, 1e200], start) for start in (1, 2)]
+    # a ratio of 1e310 takes the inner sum past the range, and one of
+    # 2e-100 brings it back to 4e210
+    + [([0.5, 1e-300, 0.5], [0.0, 1e-100, 1e10], 1)],
 )
 def test_double_sum_is_its_exact_value(p_down, p_up, start):
     exact = _exact_double_sum(p_down, p_up, start)
