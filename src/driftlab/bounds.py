@@ -8,12 +8,12 @@ attached as flags by callers.
 """
 
 from dataclasses import dataclass, field
-from math import ceil, exp, inf, isnan, log, log2
+from math import ceil, exp, inf, isfinite, isnan, log, log2
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DriftError, ParameterError
 from .oracle import _double_sum
 from .processes import _whole
 
@@ -276,6 +276,26 @@ def multiplicative_lower_bounded_step(
 # Variable drift
 # ---------------------------------------------------------------------------
 
+def _reciprocal_integral(theorem_id: str, reciprocal, lo: float, hi: float) -> float:
+    """The integral of 1/h over [lo, hi] by `quad`, asked for 1e-9
+    relative error and no absolute one.  quad's own report decides: a
+    message from it (it would otherwise only warn), a non-finite value or
+    an error estimate above 1e-9 of the value is an error naming the
+    calculator."""
+    from scipy.integrate import quad
+
+    integral, err, *rest = quad(reciprocal, lo, hi, epsabs=0.0, epsrel=1e-9, limit=500,
+                                full_output=1)
+    message = " ".join(rest[1].split()) if len(rest) > 1 else ""
+    if message or not isfinite(integral) or err > 1e-9 * abs(integral):
+        raise DriftError(
+            f"{theorem_id}: quad cannot integrate 1/h over [{lo!r}, {hi!r}] to 1e-9: "
+            f"integral {integral!r}, error estimate {err!r}"
+            + (f"; quad: {message}" if message else "")
+        )
+    return integral
+
+
 def variable_drift_upper(h: DriftFunction, x_min: float, x0: float) -> BoundReport:
     """Expected time at most 1/h(x_min) + integral of 1/h over
     [x_min, X0], for monotone non-decreasing positive h."""
@@ -287,11 +307,7 @@ def variable_drift_upper(h: DriftFunction, x_min: float, x0: float) -> BoundRepo
     h_min = h.eval(x_min)
     if h_min <= 0:
         raise ParameterError("h must be positive at x_min")
-    from scipy.integrate import quad
-
-    integral, _err = quad(
-        lambda z: 1.0 / h.eval(z), x_min, x0, epsrel=1e-9, limit=500
-    )
+    integral = _reciprocal_integral("var.upper", lambda z: 1.0 / h.eval(z), x_min, x0)
     return BoundReport(
         theorem_id="var.upper",
         inputs={"x_min": x_min, "X0": x0},
@@ -874,10 +890,8 @@ def iterated_budget_threshold(
         return 1.0 / hz
 
     if domain == "continuous":
-        from scipy.integrate import quad
-
         reciprocal(x)  # quad samples only inside the interval
-        integral, _ = quad(reciprocal, x, y, epsrel=1e-9, limit=500)
+        integral = _reciprocal_integral("budget.threshold", reciprocal, x, y)
         t = ceil(integral) if integral > 0 else 0
     elif domain == "integer":
         t = ceil(sum(reciprocal(float(i)) for i in range(int(x), int(y))))

@@ -9,6 +9,7 @@ hitting time), `simulate` (seeded Monte Carlo).  Exit codes: 0 ok,
 import argparse
 import configparser
 import dataclasses
+import functools
 import inspect
 import math
 import re
@@ -388,7 +389,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `drift` parser, built on the first call and kept: parse_args
+    leaves it as it found it, and building it is most of a short
+    command's time."""
     parser = argparse.ArgumentParser(
         prog="drift", description="Drift-analysis workbench"
     )
@@ -407,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="evaluate one bound calculator")
     p_bound.add_argument("theorem_id")
-    p_bound.add_argument("--params", nargs="*", default=[])
+    p_bound.add_argument("--params", nargs="*", default=())
     p_bound.set_defaults(fn=_cmd_bound)
 
     p_oracle = sub.add_parser("oracle", help="exact expected hitting time")
@@ -424,8 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (DriftError, ValueError, TypeError, KeyError, OSError) as exc:

@@ -6,7 +6,7 @@ and level chain, harmonic numbers and exact level visit probabilities.
 """
 
 from dataclasses import dataclass
-from math import frexp, inf, ldexp
+from math import ceil, frexp, inf, ldexp, log, sqrt
 from typing import Callable
 
 import numpy as np
@@ -102,18 +102,99 @@ def _row_sums(rows: np.ndarray, vals: np.ndarray, xs: np.ndarray, n: int) -> np.
     return np.column_stack([np.bincount(rows, vals * col, minlength=n) for col in xs.T])
 
 
+_U = 2.0**-52  # the unit roundoff u of float64
+_CG_CAP = 2  # CG's iterations on a part, in units of its step bound k(eps)
+_CG_SLACK = 16  # CG stands once max|b - Ax| <= this * u * max|b| * (1 + 2/eps)
+
+
+def _cg_bound(eps: float) -> int:
+    """k(eps) = ceil(sqrt(2/eps) ln(2/u) / 2): CG reduces the error of a
+    system whose spectrum lies in [eps, 2] by u within about this many
+    iterations."""
+    return ceil(0.5 * sqrt(2.0 / eps) * log(2.0 / _U))
+
+
+def _cg_margin(ptr: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> float:
+    """The margin eps of a part whose own matrix A (CSR arrays, columns
+    from 0) takes CG, or 0 where it does not.
+
+    A takes CG when it is exactly symmetric and
+    eps = min_i a_ii - sum_{j != i} |a_ij| > 0: A = I - Q has no positive
+    entry off its diagonal, so eps is its least row sum, and every state
+    leaves the part with probability at least eps a step.  By Gershgorin
+    A's spectrum then lies in [eps, 2].  A bound k(eps) of n or more, for
+    n states, leaves the part to its LU; as eps <= 1, so does any n up
+    to k(1) = 26, before any sum is taken."""
+    n = ptr.size - 1
+    if n <= _cg_bound(1.0):
+        return 0.0
+    eps = float(np.add.reduceat(vals, ptr[:-1]).min())  # every row holds its diagonal
+    if not (eps > 0 and _cg_bound(eps) < n):
+        return 0.0
+    # A^T's entries in its row order: a stable sort of A's by column
+    rows = _rows_of(ptr)
+    t = np.argsort(cols, kind="stable")
+    same = np.array_equal(cols[t], rows) and np.array_equal(rows[t], cols)
+    return eps if same and np.array_equal(vals[t], vals) else 0.0
+
+
+def _conjugate_gradients(a, b: np.ndarray, eps: float):
+    """Solve a x = b for a part that takes CG with margin eps, b an
+    (n, k) matrix, by conjugate gradients (Hestenes & Stiefel, J. Res.
+    NBS 49(6), 1952) on all columns at once, one sparse product an
+    iteration.
+
+    x stands when each column's max|b - ax| is at most _CG_SLACK u
+    max|b| (1 + 2/eps); a zero column is done at once.  As |x| <=
+    max|b|/eps, 2 max|b|/eps bounds |a||x|, so this is a backward error
+    of a few u, the floor that rounding leaves to b - ax.  A column
+    leaves the iteration once the 2-norm of its residual, tracked by the
+    recurrence, is within that bound; b - ax is checked at the end.  None
+    if _CG_CAP k(eps) iterations do not get there.  Each column is first
+    scaled by a power of two, exactly, to a max|b| in [1/2, 1), so that
+    no dot product under- or overflows.  Dot products are numpy
+    reductions, not BLAS, so x does not depend on the thread count."""
+    scale = np.ldexp(1.0, np.frexp(np.abs(b).max(axis=0))[1])
+    b = b / scale
+    tol = _CG_SLACK * _U * (1.0 + 2.0 / eps) * np.abs(b).max(axis=0)
+    x = np.zeros(b.shape)
+    live = np.flatnonzero(tol)
+    r, t2 = b[:, live], tol[live] ** 2
+    xs, p, rr = np.zeros(r.shape), r, np.add.reduce(r * r)
+    for _ in range(_CG_CAP * _cg_bound(eps)):
+        if not live.size:
+            break
+        ap = a @ p
+        alpha = rr / np.add.reduce(p * ap)
+        xs += alpha * p
+        r = r - alpha * ap
+        rr, last = np.add.reduce(r * r), rr
+        p = r + rr / last * p
+        done = rr <= t2
+        if done.any():
+            x[:, live[done]] = xs[:, done]
+            on = ~done
+            live, xs, r, p, rr, t2 = live[on], xs[:, on], r[:, on], p[:, on], rr[on], t2[on]
+    if live.size or (np.abs(b - a @ x).max(axis=0) > tol).any():
+        return None
+    return x * scale
+
+
 def _solve_transient(kernel, keep: np.ndarray, b: np.ndarray):
     """Solve (I - Q) x = b, Q the CSR kernel on the states in the mask keep
     and b a vector or an (m, k) matrix of k right-hand sides, part by part
     in _solve_order.
 
-    A part of blocks is solved by one sparse LU (minimum-degree ordering
-    on A^T + A; its matrix is block diagonal, so fill stays inside each
-    block), a part of single states by one LU in natural order: they are
-    upper triangular, which has no fill.  Values already solved enter the
-    right-hand side by the part's sums over its earlier columns.  A
-    one-component system is one LU on A in state order; an acyclic one is
-    one triangular solve.
+    A part of blocks is solved by conjugate gradients where _cg_margin
+    finds its own matrix symmetric and leaking fast enough.  Where it
+    does not, or CG does not stand within its cap, the part is one
+    sparse LU (minimum-degree ordering on A^T + A; its matrix is block
+    diagonal, so fill stays inside each block).  A part of single states
+    is solved by one LU in natural order: they are upper triangular,
+    which has no fill.  Values already solved enter the right-hand side
+    by the part's sums over its earlier columns.  A one-component system
+    is one part on A in state order, an acyclic one one triangular
+    solve.
 
     Returns x, shaped as b, and the max-norm residual.  A singular A
     raises _solve_order's StructureError; a non-finite residual raises
@@ -131,7 +212,7 @@ def _solve_transient(kernel, keep: np.ndarray, b: np.ndarray):
         ptr, cols, vals = indptr[lo:hi + 1] - e0, c[e0:e1] - lo, a[e0:e1]
         rhs = b[lo:hi]
         # entries in earlier parts (columns below lo) enter the right-hand
-        # side; a part that has none is its own LU matrix, with no copy
+        # side; a part that has none is its own matrix, with no copy
         early = cols < 0
         if early.any():
             rows = _rows_of(ptr)
@@ -139,9 +220,13 @@ def _solve_transient(kernel, keep: np.ndarray, b: np.ndarray):
             own = ~early
             ptr = np.searchsorted(rows[own], np.arange(hi - lo + 1))
             cols, vals = cols[own], vals[own]
-        lu = scipy.sparse.csr_array((vals, cols, ptr), shape=(hi - lo, hi - lo))
-        x[lo:hi] = scipy.sparse.linalg.spsolve(
-            lu, rhs, permc_spec="NATURAL" if part[lo] & 1 else "MMD_AT_PLUS_A").reshape(hi - lo, -1)
+        mat = scipy.sparse.csr_array((vals, cols, ptr), shape=(hi - lo, hi - lo))
+        eps = 0.0 if part[lo] & 1 else _cg_margin(ptr, cols, vals)
+        got = _conjugate_gradients(mat, rhs, eps) if eps else None
+        if got is None:
+            got = scipy.sparse.linalg.spsolve(
+                mat, rhs, permc_spec="NATURAL" if part[lo] & 1 else "MMD_AT_PLUS_A")
+        x[lo:hi] = got.reshape(hi - lo, -1)
     residual = float(np.max(np.abs(_row_sums(_rows_of(indptr), a, x[c], m) - b)))
     if not np.isfinite(residual):
         raise StructureError("singular system: the solve is not finite")
@@ -173,6 +258,9 @@ def hitting_time_exact(chain: FiniteChain) -> HittingTimeSolution:
     )
 
 
+_TINY = 2.0**-1022  # the least normal float
+
+
 def _double_sum(p_down, p_up, start: int) -> float:
     """Sum over start levels s of the inner sums S_s = sum over i >= s of
     the reciprocal down-probability weighted by the up/down ratio product.
@@ -182,8 +270,10 @@ def _double_sum(p_down, p_up, start: int) -> float:
     S_s = 1/p_down(s) + p_up(s)/p_down(s) * S_{s+1}, a zero ratio ending
     the inner sum exactly.  S_{s+1} is carried as m * 2**e, e >= 0, so an
     inner sum beyond the float range can come back into it further down;
-    a ratio beyond the range moves its power of two into e the same way.
-    The scaling is exact, and only a total beyond the range is inf.
+    a ratio beyond the range, or below its normal floats, moves its power
+    of two into e the same way, and a product that this takes below 1 is
+    a plain float.  The scaling is exact, and only a total beyond the
+    range is inf.
     """
     p_down = [float(p) for p in p_down]
     p_up = [float(p) for p in p_up]
@@ -200,10 +290,13 @@ def _double_sum(p_down, p_up, start: int) -> float:
     m, e, total = 0.0, 0, 0.0
     for s in range(n, 0, -1):
         pd = p_down[s - 1]
-        ratio = p_up[s] / pd if s < n else 0.0
-        if ratio == inf:  # carry the ratio's power of two in e instead
-            (um, uk), (dm, dk) = frexp(p_up[s]), frexp(pd)
+        pu = p_up[s] if s < n else 0.0
+        ratio = pu / pd
+        if pu and not _TINY <= ratio < inf:  # carry the ratio's power of two in e instead
+            (um, uk), (dm, dk) = frexp(pu), frexp(pd)
             ratio, e = um / dm, e + uk - dk
+            if e < 0:  # the scaled product is below 1: a plain float, added as one
+                m, e, ratio = ldexp(ratio * m, e), 0, 1.0
         if ratio:
             m, k = frexp(ldexp(1.0 / pd, -e) + ratio * m)
             e += k

@@ -1,6 +1,7 @@
 """Bound calculators: pinned arithmetic, validation and cross-checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,24 @@ def test_variable_drift_flags_non_monotone_h():
     r = variable_drift_upper(h, 0.5, 3.0)
     flag = {f.name: f.status for f in r.preconditions}
     assert flag["h_monotone"] == "fail"
+
+
+@pytest.mark.parametrize("calculator, theorem_id", [
+    (variable_drift_upper, "var.upper"), (iterated_budget_threshold, "budget.threshold"),
+])
+@pytest.mark.parametrize("h, lo, hi", [
+    # monotone, with 1/h peaked at the left end: quad's estimate is -1e-6
+    # against an integral of 49.67, and the bound would read 1000.0
+    # against 1049.67
+    (lambda z: 1e-3 + z * z, 1e-6, 1e6),
+    # the step drift of an integer chain: quad stops at its subdivision
+    # limit with an estimate 1.6e-5 off the sum 223.96027
+    (lambda z: math.floor(z) / 50, 1.0, 50.0),
+])
+def test_an_integral_quad_cannot_give_is_an_error(calculator, theorem_id, h, lo, hi):
+    with pytest.raises(errors.DriftError, match=rf"^{re.escape(theorem_id)}: quad cannot") as exc:
+        calculator(DriftFunction(eval=h), lo, hi)
+    assert "; quad: " in str(exc.value)
 
 
 # --- tails --------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Report formats and the `drift` command line tool."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +26,8 @@ from driftlab.report import (
     rows_to_json,
     verdict_for,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 _ROW = ComparisonRow(
     theorem_id="mult.upper",
@@ -303,6 +308,39 @@ def test_bound_command_unknown_id(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "mult.upper" in err  # lists the known ids
+
+
+def _fresh(argv):
+    """(exit code, stdout, stderr) of argv in a new interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-m", "driftlab.cli", *argv], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("bad", [["bound"], ["bound", "mult.upper", "--params", "e_x0=abc"]])
+def test_calls_after_a_failed_one_behave_as_in_fresh_processes(bad, capsys):
+    # main keeps one parser: a usage error (argparse exits) or a refused
+    # parameter, then a good call and the bad call again, all as a fresh
+    # `drift` prints them
+    good = ["bound", "mult.upper", "--params", "e_x0=20,delta=0.05"]
+    want_bad, want_good = _fresh(bad), _fresh(good)
+    assert want_bad[0] == 2 and want_good[0] == 0
+    assert _in_process(bad, capsys) == want_bad
+    assert _in_process(good, capsys) == want_good
+    assert _in_process(bad, capsys) == want_bad
+    # the shared default of --params is left as it was
+    assert cli.build_parser().parse_args(["bound", "mult.upper"]).params == ()
 
 
 @pytest.mark.parametrize(

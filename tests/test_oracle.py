@@ -1,7 +1,9 @@
 """Exact hitting-time oracles against closed forms and each other."""
 
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from driftlab import errors, oracle
+from driftlab import errors, oracle, processes
 from driftlab.oracle import (
     _double_sum,
     _solve_transient,
@@ -212,7 +214,10 @@ _BACK_IN_RANGE = ([0.1] * 449, [0.8] * 5 + [1e-200] + [0.8] * 443)
     + [([1e-300, 1e300], [0.0, 1e200], start) for start in (1, 2)]
     # a ratio of 1e310 takes the inner sum past the range, and one of
     # 2e-100 brings it back to 4e210
-    + [([0.5, 1e-300, 0.5], [0.0, 1e-100, 1e10], 1)],
+    + [([0.5, 1e-300, 0.5], [0.0, 1e-100, 1e10], 1)]
+    # the ratio 1e-300 / 1e300 underflows to 0, its product with the
+    # inner sum 1e300 does not: the sum from state 1 is 2e-300, not 1e-300
+    + [([1e300, 1e-300, 0.5], [0.0, 1e-300, 1e-300], 1)],
 )
 def test_double_sum_is_its_exact_value(p_down, p_up, start):
     exact = _exact_double_sum(p_down, p_up, start)
@@ -672,3 +677,132 @@ def test_visit_probabilities_name_a_state_the_levels_miss():
     with pytest.raises(errors.StructureError, match="^levels give state 3 no level$") as exc:
         visit_probabilities_exact(chain, {4: 0, 2: 2, 1: 3, 0: 4})
     assert exc.value.offender == 3
+
+
+# --- conjugate gradients on symmetric blocks that leak --------------------
+
+@st.composite
+def _leaking_blocks(draw):
+    """(kernel, keep, b, symmetric blocks): state 0 the target, then one
+    or two blocks of 40-90 states, each state leaving its block with
+    probability at least 0.5 (k(0.5) = 37 steps), so each block takes CG
+    unless one of its entries is moved off symmetry; the second block
+    leaks into the first and the target.  b has 1-4 columns, some of them
+    zero, none negative, as with hitting times and visit masses: x is
+    then positive, and each entry can be held to a relative error."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    sizes = draw(st.lists(st.integers(min_value=40, max_value=90), min_size=1, max_size=2))
+    n = 1 + sum(sizes)
+    kernel = np.zeros((n, n))
+    kernel[0, 0] = 1.0
+    lo, symmetric = 1, 0
+    for size in sizes:
+        w = np.triu(rng.random((size, size)) * (rng.random((size, size)) < 0.2), 1)
+        w[np.arange(size - 1), np.arange(1, size)] += 1.0  # a path keeps the block one component
+        w = w + w.T + np.diag(rng.random(size))
+        if draw(st.booleans()):
+            symmetric += 1
+        else:
+            w[0, 1] *= 1.5
+        q = w * ((1.0 - draw(st.floats(min_value=0.5, max_value=0.95))) / w.sum(axis=1).max())
+        block = slice(lo, lo + size)
+        kernel[block, block] = q
+        out = 1.0 - q.sum(axis=1)
+        if lo == 1:
+            kernel[block, 0] = out
+        else:
+            share = rng.random(size)
+            kernel[block, 0] = out * share
+            kernel[np.arange(lo, lo + size), rng.integers(1, lo, size=size)] = out * (1.0 - share)
+        lo += size
+    columns = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    b = rng.random((n - 1, len(columns))) * np.array(columns)
+    keep = np.arange(n) > 0
+    return scipy.sparse.csr_array(kernel), keep, b, symmetric
+
+
+@settings(max_examples=100, deadline=None)
+@given(_leaking_blocks())
+def test_cg_on_symmetric_leaking_blocks_matches_their_lu(drawn):
+    kernel, keep, b, symmetric = drawn
+    taken = []
+
+    def counted(a, rhs, eps):
+        taken.append(a.shape[0])
+        return cg(a, rhs, eps)
+
+    cg = oracle._conjugate_gradients
+    with mock.patch.object(oracle, "_conjugate_gradients", counted):
+        got, residual = _solve_transient(kernel, keep, b)
+    assert len(taken) == symmetric
+    with mock.patch.object(oracle, "_cg_margin", lambda *arrays: 0.0):
+        want, _ = _solve_transient(kernel, keep, b)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert not got[:, ~b.any(axis=0)].any()  # a zero column stays zero
+    assert residual <= 1e-13 * max(1.0, np.abs(b).max())
+
+
+def _spsolve_sizes(monkeypatch):
+    """The state counts of the parts that reach spsolve from here on."""
+    sizes = []
+    spsolve = scipy.sparse.linalg.spsolve
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return spsolve(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", counted)
+    return sizes
+
+
+def test_cg_that_does_not_stand_within_its_cap_falls_back_to_the_lu(monkeypatch):
+    chain = to_finite_chain(make_ea_process("RLS", "leadingones", n=9))
+    by_cg = hitting_time_exact(chain).per_state
+    sizes = _spsolve_sizes(monkeypatch)
+    monkeypatch.setattr(oracle, "_CG_CAP", 0)
+    fallen = hitting_time_exact(chain).per_state
+    # the level blocks of 128 and 256 states take CG, and with no
+    # iteration allowed they reach spsolve
+    assert {128, 256} <= set(sizes)
+    np.testing.assert_allclose(list(fallen.values()), list(by_cg.values()), rtol=1e-12, atol=0)
+    monkeypatch.setattr(oracle, "_cg_margin", lambda *arrays: 0.0)
+    assert hitting_time_exact(chain).per_state == fallen
+
+
+def _vertex_cover(seed):
+    graph = processes.random_graph(9, 0.3, seed=seed)
+    cover = min((set(c) for k in range(10) for c in itertools.combinations(range(9), k)
+                 if all(u in c or v in c for u, v in graph.edges)), key=len)
+    return processes.make_graph_process("vertex_cover", processes.GraphInstance(
+        n=9, edges=graph.edges, cover=frozenset(cover)))
+
+
+@pytest.mark.parametrize("build, by_cg", [
+    # 2^n states: the level blocks of 128 states and more take CG
+    (lambda: make_ea_process("RLS", "leadingones", n=12), [128, 256, 512, 1024, 2048]),
+    # the interior of the walk never leaves it: eps = 0
+    (lambda: make_simple_chain("gamblers_ruin", n=30), []),
+    # no blocks
+    (lambda: processes.make_sorting_process(5, (5, 4, 3, 2, 1)), []),
+    (lambda: _vertex_cover(6), []),
+    # a flip and its reverse are equally likely in some blocks, not in others
+    (lambda: processes.make_two_sat_process(processes.planted_2sat(12, 24, seed=3)), [44, 78, 158]),
+], ids=["RLS-leadingones(n=12)", "gamblers_ruin(n=30)", "sorting(n=5)", "vertex_cover(n=9)",
+        "two_sat(n=12)"])
+def test_which_parts_take_cg(build, by_cg, monkeypatch):
+    chain = to_finite_chain(build())
+    keep = np.ones(len(chain.states), dtype=bool)
+    keep[list(chain.targets)] = False
+    _, part = oracle._solve_order(chain.kernel, keep)
+    sizes = _spsolve_sizes(monkeypatch)
+    margins, margin = [], oracle._cg_margin
+
+    def recorded(ptr, cols, vals):
+        margins.append((ptr.size - 1, margin(ptr, cols, vals)))
+        return margins[-1][1]
+
+    monkeypatch.setattr(oracle, "_cg_margin", recorded)
+    hitting_time_exact(chain)
+    assert sorted(n for n, eps in margins if eps) == by_cg
+    # every other part reaches spsolve, and no CG part does
+    assert len(sizes) == len(np.unique(part)) - len(by_cg)
