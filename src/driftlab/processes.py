@@ -68,6 +68,27 @@ class UniformPick:
     regroup: Optional[Callable[[Sequence, Any, State], Sequence]] = None
 
 
+@dataclass(frozen=True, eq=False)
+class FlipBit:
+    """The move of a UniformPick walk on tuples whose entries are the two
+    values: move(bits, i) switches entry i to the other value.  With a
+    fitness, the flipped tuple is kept only when its fitness is not lower
+    (RLS), else bits stays.  On the 2^n tuples of a uniform start, read
+    as binary numbers in product order, flipping entry i of x is
+    x ^ (1 << (n-1-i)), which to_finite_chain uses."""
+
+    values: tuple
+    fitness: Optional[Callable[[State], float]] = None
+
+    def __call__(self, bits: tuple, i: int) -> tuple:
+        values = self.values
+        cand = bits[:i] + (values[bits[i] == values[0]],) + bits[i + 1:]
+        fitness = self.fitness
+        if fitness is None or fitness(cand) >= fitness(bits):
+            return cand
+        return bits
+
+
 @dataclass(frozen=True)
 class Process:
     """A sampleable stochastic process with a scalar view and a target.
@@ -97,8 +118,10 @@ class Process:
         UniformPick walk (recolour, vertex cover, 2-SAT, sorting, RLS on
         bit strings), whose three compute the groups of a state once
         between them.  The rest are stepped trial by trial, as is None,
-        where only step itself says.  lift keeps the law; a process
-        given another step must drop it.
+        where only step itself says.  to_finite_chain reads the rows of
+        a BitFlipEA, or of a UniformPick walk with a FlipBit move, from
+        the law itself.  lift keeps the law; a process given another
+        step, target or kernel must drop it.
     """
 
     name: str
@@ -310,7 +333,7 @@ def _pick_process(name, law: UniformPick, sample_initial, value,
     next, so a walk scans only its start.  The memo holds its state, so
     no other state can take that state's id."""
     last = [object(), ()]
-    regroup = law.regroup
+    move, regroup = law.move, law.regroup
 
     def groups(state):
         if state is not last[0]:
@@ -321,9 +344,10 @@ def _pick_process(name, law: UniformPick, sample_initial, value,
         found = groups(state)
         if not found:
             return state
-        group = found[int(rng.integers(len(found)))] if len(found) > 1 else found[0]
-        entry = group[int(rng.integers(len(group)))]
-        succ = law.move(state, entry)
+        # the draws index as they are: numpy's ints and _RawDraws' alike
+        group = found[rng.integers(len(found))] if len(found) > 1 else found[0]
+        entry = group[rng.integers(len(group))]
+        succ = move(state, entry)
         if regroup is not None:
             last[:] = succ, regroup(found, entry, succ)
         return succ
@@ -336,7 +360,7 @@ def _pick_process(name, law: UniformPick, sample_initial, value,
         for group in found:
             p = 1.0 / (len(found) * len(group))
             for entry in group:
-                succ = law.move(state, entry)
+                succ = move(state, entry)
                 row[succ] = row.get(succ, 0.0) + p
         return list(row.items())
 
@@ -611,10 +635,6 @@ def _distance_kernel(flips, fitness: Callable[[int], int]) -> Kernel:
     return kernel
 
 
-def _bit_flip(bits: tuple, i: int) -> tuple:
-    return bits[:i] + (1 - bits[i],) + bits[i + 1:]
-
-
 def _leading_ones(bits: tuple) -> int:
     lo = 0
     for b in bits:
@@ -732,23 +752,34 @@ def make_ea_process(
 
     if algorithm == "RLS":
         every_bit = (range(n),)
-
-        def flip(bits, i):
-            cand = _bit_flip(bits, i)
-            return cand if fitness_bits(cand) >= fitness_bits(bits) else bits
-
         return _pick_process(
-            name, UniformPick(lambda bits: every_bit, flip, is_target),
+            name, UniformPick(lambda bits: every_bit, FlipBit((0, 1), fitness_bits), is_target),
             sample_initial, value, support,
         )
     return _bit_flip_process(name, BitFlipEA(n, p, fitness_bits, value), sample_initial, support)
 
 
+def _mask_tables(law: BitFlipEA, strings) -> tuple[np.ndarray, np.ndarray]:
+    """The fitness of each of the 2^n strings, given in product order, and
+    the mass of each flip mask m, so that string x with the flips of m is
+    string x ^ m."""
+    flips = np.array(strings).sum(axis=1)
+    return (np.array([law.fitness(s) for s in strings]),
+            law.p**flips * (1.0 - law.p) ** (law.n - flips))
+
+
+def _mask_row(fit: np.ndarray, mass: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The successors of string x under the (1+1) EA, ascending, and
+    their masses: each mask's mass summed per successor in mask order."""
+    cand = np.arange(len(fit)) ^ x
+    row = np.bincount(np.where(fit[cand] >= fit[x], cand, x), mass, len(fit))
+    succ = np.flatnonzero(row)
+    return succ, row[succ]
+
+
 def _bit_flip_process(name, law: BitFlipEA, sample_initial, initial_support) -> Process:
     """Assemble a Process whose target, step and, for n <= 10, exact
-    kernel follow law.  The kernel's tables are built on its first call:
-    the 2^n strings in product order, so that string x with the flips of
-    mask m is string x ^ m, their fitness and each mask's mass."""
+    kernel follow law.  The kernel's tables are built on its first call."""
     n, p, fitness = law.n, law.p, law.fitness
     optimum = (1,) * n
     tables = []
@@ -763,16 +794,10 @@ def _bit_flip_process(name, law: BitFlipEA, sample_initial, initial_support) -> 
     def exact_kernel(bits):
         if not tables:
             strings = list(product((0, 1), repeat=n))
-            flips = np.array(strings).sum(axis=1)
-            tables[:] = (strings, {s: x for x, s in enumerate(strings)},
-                         np.array([fitness(s) for s in strings]),
-                         p**flips * (1.0 - p) ** (n - flips))
+            tables[:] = strings, {s: x for x, s in enumerate(strings)}, *_mask_tables(law, strings)
         strings, index, fit, mass = tables
-        x = index[bits]
-        cand = np.arange(len(strings)) ^ x
-        row = np.bincount(np.where(fit[cand] >= fit[x], cand, x), mass, len(strings))
-        succ = np.flatnonzero(row)
-        return list(zip([strings[y] for y in succ.tolist()], row[succ].tolist()))
+        succ, probs = _mask_row(fit, mass, index[bits])
+        return list(zip([strings[y] for y in succ.tolist()], probs.tolist()))
 
     return Process(
         name=name,
@@ -864,7 +889,7 @@ def _make_recolour(instance: GraphInstance) -> Process:
         return float(agreement(coloring))
 
     sample_initial, support = _uniform_bits(n, (0, 1))
-    law = UniformPick(mono, _bit_flip, regroup=regroup)
+    law = UniformPick(mono, FlipBit((0, 1)), regroup=regroup)
     return _pick_process(f"recolour(n={n})", law, sample_initial, value, support)
 
 
@@ -919,12 +944,9 @@ def make_two_sat_process(instance: CnfInstance) -> Process:
         agree = sum(1 for a, b in zip(assignment, planted) if a == b)
         return float(n - agree)
 
-    def flip(assignment, var):
-        return assignment[:var] + (not assignment[var],) + assignment[var + 1:]
-
     sample_initial, support = _uniform_bits(n, (False, True))
     return _pick_process(
-        f"two_sat(n={n},m={len(clauses)})", UniformPick(unsat_variables, flip),
+        f"two_sat(n={n},m={len(clauses)})", UniformPick(unsat_variables, FlipBit((False, True))),
         sample_initial, value, support,
     )
 
@@ -972,17 +994,26 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
     distribution; target states are made absorbing.  Each row is handed
     to FiniteChain as the kernel lists it, less its zero entries, and
     FiniteChain checks it.  Raises a capacity error once more than
-    max_states states have been discovered.
+    max_states states have been discovered, the start's among them.
+
+    A walk on bit strings whose start lists the 2^n strings in product
+    order (a BitFlipEA, or a UniformPick walk with a FlipBit move) takes
+    _bit_chain instead, which builds the same chain from index arrays.
     """
     if process.exact_kernel is None:
         raise UnsupportedError(f"{process.name} has no exact kernel")
     if process.initial_support is None:
         raise UnsupportedError(f"{process.name} has no explicit initial distribution")
+    chain = _bit_chain(process, max_states)
+    if chain is not None:
+        return chain
 
     index: dict = {}
     order: list = []
     for state, _ in process.initial_support:
         if state not in index:
+            if len(order) >= max_states:
+                raise _too_many(max_states)
             index[state] = len(order)
             order.append(state)
     cols: list[int] = []
@@ -1004,10 +1035,7 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
             j = index.get(succ)
             if j is None:
                 if len(order) >= max_states:
-                    raise CapacityError(
-                        f"state space exceeds max_states={max_states}",
-                        count=len(order) + 1,
-                    )
+                    raise _too_many(max_states)
                 j = index[succ] = len(order)
                 order.append(succ)
             cols.append(j)
@@ -1024,6 +1052,85 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
     return FiniteChain(
         states=tuple(order), kernel=kernel, start=start, targets=frozenset(targets)
     )
+
+
+def _too_many(max_states: int) -> CapacityError:
+    return CapacityError(f"state space exceeds max_states={max_states}", count=max_states + 1)
+
+
+def _bit_chain(process: Process, max_states: int) -> Optional[FiniteChain]:
+    """The chain to_finite_chain's loop would build for a BitFlipEA, or a
+    UniformPick walk with a FlipBit move, whose start lists the 2^n
+    strings in product order; None for any other process, which takes
+    the loop.  Those strings are every state, string x the one at index
+    x of the start, and each row comes out merged and sorted as
+    FiniteChain would leave the loop's."""
+    law, support = process.step_law, process.initial_support
+    if isinstance(law, BitFlipEA):
+        values, n = (0, 1), law.n
+    elif isinstance(law, UniformPick) and isinstance(law.move, FlipBit):
+        values, n = law.move.values, max(len(support).bit_length() - 1, 0)
+    else:
+        return None
+    # a lazy comparison: a copy of the product would hold every string twice
+    if len(support) != 1 << n or any(
+            s != t for (s, _), t in zip(support, product(values, repeat=n))):
+        return None
+    if len(support) > max_states:
+        raise _too_many(max_states)
+
+    import scipy.sparse
+
+    states = tuple(s for s, _ in support)
+    m = len(states)
+    if isinstance(law, BitFlipEA):
+        fit, mass = _mask_tables(law, states)
+        top = m - 1  # the all-ones string, the one target
+        succs, probs = zip(*[_mask_row(fit, mass, x) for x in range(top)],
+                           (np.array([top]), np.array([1.0])))
+        indptr = np.cumsum([0, *map(len, succs)])
+        indices, data, targets = np.concatenate(succs), np.concatenate(probs), [top]
+    else:
+        indptr, indices, data, targets = _flip_rows(law, states, n)
+    kernel = scipy.sparse.csr_array((data, indices, indptr), shape=(m, m))
+    start = np.array([p for _, p in support], dtype=float)
+    return FiniteChain(states=states, kernel=kernel, start=start, targets=frozenset(targets))
+
+
+def _flip_rows(law: UniformPick, states: tuple, n: int):
+    """(indptr, indices, data, targets) of the FlipBit walk law on the 2^n
+    strings: groups once per state, the move's fitness once per string,
+    and each row's masses summed per successor in pick order."""
+    target, groups = law.target, law.groups
+    # per group: its state, its size, each entry's mass and its entries
+    owner, sizes, masses, entries = [], [], [], []
+    hits = []
+    for x, state in enumerate(states):
+        found = groups(state)
+        if target(state) if target is not None else not found:
+            hits.append(x)
+            found = ()
+        if not found:
+            found = ((n,),)  # entry n flips nothing: the state stays with mass 1
+        for group in found:
+            owner.append(x)
+            sizes.append(len(group))
+            masses.append(1.0 / (len(found) * len(group)))
+            entries.extend(group)
+    flips = np.array([1 << (n - 1 - i) for i in range(n)] + [0])
+    x = np.repeat(owner, sizes)
+    succ = x ^ flips[np.array(entries, dtype=np.intp)]
+    fitness = law.move.fitness
+    if fitness is not None:
+        fit = np.array([fitness(s) for s in states])
+        succ = np.where(fit[succ] >= fit[x], succ, x)
+    m = len(states)
+    # np.unique sorts the (state, successor) keys; bincount then adds each
+    # key's masses in input order, which is pick order
+    keys, inverse = np.unique(x * m + succ, return_inverse=True)
+    data = np.bincount(inverse, weights=np.repeat(masses, sizes))
+    indptr = np.searchsorted(keys, np.arange(m + 1) * m)
+    return indptr, keys % m, data, hits
 
 
 # ---------------------------------------------------------------------------

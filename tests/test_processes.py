@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftlab import errors, processes
 from driftlab.montecarlo import (
@@ -15,7 +16,8 @@ from driftlab.montecarlo import (
     trial_rng,
     verify_condition,
 )
-from driftlab.potentials import identity_potential
+from driftlab.oracle import hitting_time_exact
+from driftlab.potentials import identity_potential, lift
 from driftlab.processes import (
     BitFlipEA,
     CnfInstance,
@@ -90,6 +92,22 @@ def test_chain_capacity_error_carries_count():
     with pytest.raises(errors.CapacityError) as exc:
         to_finite_chain(proc, max_states=10)
     assert exc.value.count > 10
+
+
+@pytest.mark.parametrize("proc, size", [
+    (make_ea_process("RLS", "leadingones", n=8), 256),
+    (make_ea_process("OnePlusOneEA", "leadingones", n=6), 64),
+    (make_graph_process("recolour", processes.random_3colorable_graph(5, 0.8, seed=1)), 32),
+])
+def test_chain_capacity_counts_the_start_support(proc, size):
+    # every state of these chains is in the start's support; the bit-string
+    # rows and the loop both count them
+    for p in (proc, dataclasses.replace(proc, step_law=None)):
+        for max_states in (1, 3, size - 1):
+            with pytest.raises(errors.CapacityError, match=f"max_states={max_states}$") as exc:
+                to_finite_chain(p, max_states=max_states)
+            assert exc.value.count == max_states + 1
+        assert len(to_finite_chain(p, max_states=size).states) == size
 
 
 def test_unknown_kind_rejected():
@@ -705,12 +723,7 @@ def _bits_process(algorithm, n, fitness):
         law = BitFlipEA(n, 0.3, fitness, lambda bits: 0.0)
         return processes._bit_flip_process("EA", law, sample_initial, support)
     every_bit = (range(n),)
-
-    def flip(bits, i):
-        cand = processes._bit_flip(bits, i)
-        return cand if fitness(cand) >= fitness(bits) else bits
-
-    law = UniformPick(lambda bits: every_bit, flip, all)
+    law = UniformPick(lambda bits: every_bit, processes.FlipBit((0, 1), fitness), all)
     return processes._pick_process("RLS", law, sample_initial, lambda bits: 0.0, support)
 
 
@@ -741,3 +754,92 @@ def test_distance_chains_are_the_bit_chains_lumped_by_hamming_distance(algorithm
             start[d] += q
         np.testing.assert_allclose(np.bincount(dist, chain.start, n + 1), start, rtol=0,
                                    atol=1e-15)
+
+
+def _assert_same_chain(got, want):
+    assert got.states == want.states
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got.kernel, field), getattr(want.kernel, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert got.start.dtype == want.start.dtype and np.array_equal(got.start, want.start)
+    assert got.targets == want.targets
+
+
+def _loop_chain(proc):
+    """to_finite_chain's breadth-first loop over the process's kernel."""
+    return to_finite_chain(dataclasses.replace(proc, step_law=None))
+
+
+def _ea(n, p):
+    return make_ea_process("OnePlusOneEA", "leadingones", n=n, mutation_rate=p)
+
+
+_BIT_CHAINS = {
+    **{f"RLS-leadingones(n={n})": lambda n=n: make_ea_process("RLS", "leadingones", n=n)
+       for n in range(1, 13)},
+    "RLS-linear": lambda: make_ea_process("RLS", "linear", weights=(0.3, 0.2, 0.1, 0.05)),
+    **{f"two_sat(n={n})": lambda n=n: make_two_sat_process(processes.planted_2sat(n, 2 * n, seed=n))
+       for n in (12, 11, 10)},
+    "recolour(n=9)": lambda: make_graph_process(
+        "recolour", processes.random_3colorable_graph(9, 0.5, seed=1)),
+    **{f"EA-leadingones(n={n},p={p})": lambda n=n, p=p: _ea(n, p)
+       for n in (1, 4, 8, 10) for p in (0.1, 0.5, 0.9)},
+    "EA-linear": lambda: make_ea_process("OnePlusOneEA", "linear", weights=(5, 3, 2, 1),
+                                         mutation_rate=0.4),
+    "lifted": lambda: lift(make_ea_process("RLS", "leadingones", n=6), identity_potential()),
+}
+
+
+@pytest.mark.parametrize("name", list(_BIT_CHAINS))
+def test_bit_chains_from_their_law_equal_the_loops(name):
+    proc = _BIT_CHAINS[name]()
+    law = proc.step_law
+    assert isinstance(law, BitFlipEA) or isinstance(law.move, processes.FlipBit)
+    _assert_same_chain(to_finite_chain(proc), _loop_chain(proc))
+
+
+@pytest.mark.parametrize("name", ["RLS-leadingones(n=10)", "two_sat(n=11)", "recolour(n=9)",
+                                  "EA-leadingones(n=8,p=0.1)"])
+def test_bit_chains_solve_bitwise_as_the_loops(name):
+    proc = _BIT_CHAINS[name]()
+    got = hitting_time_exact(to_finite_chain(proc))
+    want = hitting_time_exact(_loop_chain(proc))
+    assert got.per_state == want.per_state and got.from_start == want.from_start
+
+
+@pytest.mark.parametrize("name", ["RLS-leadingones(n=5)", "two_sat(n=10)",
+                                  "EA-leadingones(n=4,p=0.5)"])
+def test_bit_chain_with_a_start_out_of_product_order_takes_the_loop(name):
+    proc = _BIT_CHAINS[name]()
+    support = proc.initial_support
+    for shuffled in (support[::-1], support[1:] + support[:1]):
+        moved = dataclasses.replace(proc, initial_support=shuffled)
+        chain = to_finite_chain(moved)
+        assert chain.states == tuple(s for s, _ in shuffled)
+        _assert_same_chain(chain, _loop_chain(moved))
+
+
+@st.composite
+def _flip_walks(draw):
+    """A FlipBit walk on the strings of n <= 6 bits: up to three groups of
+    bit positions a state, of unequal sizes or none, an optional fitness
+    with ties and an optional target set."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    values = draw(st.sampled_from([(0, 1), (False, True)]))
+    strings = list(itertools.product(values, repeat=n))
+    group = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n)
+    table = {s: tuple(map(tuple, draw(st.lists(group, max_size=3)))) for s in strings}
+    scores = draw(st.none() | st.lists(st.integers(min_value=0, max_value=2),
+                                       min_size=len(strings), max_size=len(strings)))
+    fitness = None if scores is None else dict(zip(strings, scores)).__getitem__
+    hits = draw(st.none() | st.sets(st.sampled_from(strings)))
+    sample_initial, support = processes._uniform_bits(n, values)
+    law = UniformPick(table.__getitem__, processes.FlipBit(values, fitness),
+                      None if hits is None else hits.__contains__)
+    return processes._pick_process("flip-walk", law, sample_initial, lambda s: 0.0, support)
+
+
+@settings(max_examples=60, deadline=None)
+@given(proc=_flip_walks())
+def test_random_flip_walks_from_their_law_equal_the_loops(proc):
+    _assert_same_chain(to_finite_chain(proc), _loop_chain(proc))
