@@ -37,15 +37,21 @@ def _parse_scalar(text: str):
         return text
 
 
-def _parse_params(body: str) -> dict:
+def _parse_params(what: str, *bodies: str) -> dict:
+    """The key=value items of the comma-separated bodies, as one dict; a
+    key given twice, in one body or across them, is an error naming it."""
     params = {}
-    if not body or not body.strip():
-        return params
-    for item in body.split(","):
-        if "=" not in item:
-            raise ConfigError(f"expected key=value, got {item.strip()!r}")
-        key, value = item.split("=", 1)
-        params[key.strip()] = _parse_scalar(value)
+    for body in bodies:
+        if not body.strip():
+            continue
+        for item in body.split(","):
+            if "=" not in item:
+                raise ConfigError(f"expected key=value, got {item.strip()!r}")
+            key, value = item.split("=", 1)
+            key = key.strip()
+            if key in params:
+                raise ConfigError(f"{what} parameter {key!r} is given twice")
+            params[key] = _parse_scalar(value)
     return params
 
 
@@ -53,7 +59,7 @@ def _parse_call(spec: str):
     match = _CALL_RE.match(spec)
     if not match:
         raise ConfigError(f"cannot parse spec {spec!r}; expected name(k=v,...)")
-    return match.group(1), _parse_params(match.group(2) or "")
+    return match.group(1), _parse_params(match.group(1), match.group(2) or "")
 
 
 def parse_process(spec: str):
@@ -285,7 +291,7 @@ def load_config(path: str) -> dict:
     }
     if parser.has_section("theorems"):
         for key, value in parser.items("theorems"):
-            cfg["theorems"].append((key, _parse_params(value)))
+            cfg["theorems"].append((key, _parse_params(key, value)))
     unknown = [t for t, _ in cfg["theorems"] if t not in _CALCULATORS]
     if unknown:
         raise ConfigError(f"unknown theorem ids: {', '.join(sorted(unknown))}")
@@ -359,10 +365,7 @@ def _cmd_bound(args) -> int:
             f"unknown theorem id {args.theorem_id!r}; known: "
             f"{', '.join(sorted(_CALCULATORS))}"
         )
-    params = {}
-    for item in args.params:
-        params.update(_parse_params(item))
-    report = _calculate(args.theorem_id, params)
+    report = _calculate(args.theorem_id, _parse_params(args.theorem_id, *args.params))
     sys.stdout.write(
         f"{report.theorem_id} {report.direction} {report.bound:.12g}\n"
     )

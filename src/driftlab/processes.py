@@ -90,6 +90,23 @@ class FlipBit:
 
 
 @dataclass(frozen=True)
+class SwapInversion:
+    """The move of a UniformPick walk on tuples of distinct entries:
+    move(perm, (i, j)) swaps entries i and j when perm[i] > perm[j], else
+    returns perm.  Read as base-n numbers of the entries' ranks,
+    swapping i and j adds (rank[j] - rank[i]) * (n^(n-1-i) - n^(n-1-j))
+    to the code, which to_finite_chain uses."""
+
+    def __call__(self, perm: tuple, pair) -> tuple:
+        i, j = pair
+        if perm[i] <= perm[j]:
+            return perm
+        lst = list(perm)
+        lst[i], lst[j] = lst[j], lst[i]
+        return tuple(lst)
+
+
+@dataclass(frozen=True)
 class Process:
     """A sampleable stochastic process with a scalar view and a target.
 
@@ -119,9 +136,11 @@ class Process:
         bit strings), whose three compute the groups of a state once
         between them.  The rest are stepped trial by trial, as is None,
         where only step itself says.  to_finite_chain reads the rows of
-        a BitFlipEA, or of a UniformPick walk with a FlipBit move, from
-        the law itself.  lift keeps the law; a process given another
-        step, target or kernel must drop it.
+        a BitFlipEA, or of a UniformPick walk with a FlipBit move (RLS,
+        2-SAT, recolour) or a SwapInversion move (sorting), from the law
+        itself; vertex cover and the KernelDraw chains keep its loop over
+        exact_kernel.  lift keeps the law; a process given another step,
+        target or kernel must drop it.
     """
 
     name: str
@@ -968,15 +987,7 @@ def make_sorting_process(n: int, start: tuple) -> Process:
     def inversions(perm):
         return sum(1 for i, j in pairs if perm[i] > perm[j])
 
-    def swap_inversion(perm, pair):
-        i, j = pair
-        if perm[i] <= perm[j]:
-            return perm
-        lst = list(perm)
-        lst[i], lst[j] = lst[j], lst[i]
-        return tuple(lst)
-
-    law = UniformPick(lambda perm: every_pair, swap_inversion, lambda perm: perm == goal)
+    law = UniformPick(lambda perm: every_pair, SwapInversion(), lambda perm: perm == goal)
     return _pick_process(
         f"sorting(n={n})", law, lambda rng: start, lambda perm: float(inversions(perm)),
         ((start, 1.0),),
@@ -996,17 +1007,22 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
     FiniteChain checks it.  Raises a capacity error once more than
     max_states states have been discovered, the start's among them.
 
-    A walk on bit strings whose start lists the 2^n strings in product
-    order (a BitFlipEA, or a UniformPick walk with a FlipBit move) takes
-    _bit_chain instead, which builds the same chain from index arrays.
+    Two kinds of walk take an array route that builds the same chain,
+    array for array, from index arrays: a walk on bit strings whose
+    start lists the 2^n strings in product order (a BitFlipEA, or a
+    UniformPick walk with a FlipBit move) takes _bit_chain, and a
+    UniformPick walk with a SwapInversion move (sorting) whose starts
+    order the same n <= 15 distinct entries takes _swap_chain.  Vertex
+    cover, the kernel chains and every other process take the loop.
     """
     if process.exact_kernel is None:
         raise UnsupportedError(f"{process.name} has no exact kernel")
     if process.initial_support is None:
         raise UnsupportedError(f"{process.name} has no explicit initial distribution")
-    chain = _bit_chain(process, max_states)
-    if chain is not None:
-        return chain
+    for route in (_bit_chain, _swap_chain):
+        chain = route(process, max_states)
+        if chain is not None:
+            return chain
 
     index: dict = {}
     order: list = []
@@ -1097,40 +1113,149 @@ def _bit_chain(process: Process, max_states: int) -> Optional[FiniteChain]:
     return FiniteChain(states=states, kernel=kernel, start=start, targets=frozenset(targets))
 
 
-def _flip_rows(law: UniformPick, states: tuple, n: int):
-    """(indptr, indices, data, targets) of the FlipBit walk law on the 2^n
-    strings: groups once per state, the move's fitness once per string,
-    and each row's masses summed per successor in pick order."""
+def _picks(law: UniformPick, states, stay):
+    """(targets, state, mass, entry) of the UniformPick walk law from
+    states: the targets as indices into states, then, over its picks in
+    row order and then pick order, each pick's state index, mass and
+    entry as arrays.  groups and target are called once per state; a
+    target, or a state without groups, picks stay with mass 1."""
     target, groups = law.target, law.groups
-    # per group: its state, its size, each entry's mass and its entries
-    owner, sizes, masses, entries = [], [], [], []
-    hits = []
+    stays = ((stay,),)
+    rows, hits = [], []
     for x, state in enumerate(states):
         found = groups(state)
         if target(state) if target is not None else not found:
             hits.append(x)
-            found = ()
-        if not found:
-            found = ((n,),)  # entry n flips nothing: the state stays with mass 1
-        for group in found:
-            owner.append(x)
-            sizes.append(len(group))
-            masses.append(1.0 / (len(found) * len(group)))
-            entries.extend(group)
+            found = stays
+        rows.append(found or stays)
+    picked = [group for found in rows for group in found]
+    per_row = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    sizes = np.fromiter(map(len, picked), dtype=np.intp, count=len(picked))
+    owner = np.repeat(np.arange(len(rows)), per_row)
+    # a group handed out for many states is converted once; picked holds
+    # every group, so no two of them share an id
+    arrays = {key: np.array(group, dtype=np.intp)
+              for key, group in {id(group): group for group in picked}.items()}
+    entries = np.concatenate([arrays[id(group)] for group in picked])
+    return (hits, np.repeat(owner, sizes), np.repeat(1.0 / (per_row[owner] * sizes), sizes),
+            entries)
+
+
+def _merged_rows(rows, cols, mass, nrows: int, ncols: int):
+    """(indptr, indices, data) of the nrows x ncols CSR arrays with mass
+    summed at each (row, col), the columns of each row ascending.  A
+    stable sort keeps each key's masses in input order, and bincount adds
+    them in that order, so that rows given in pick order sum as the
+    loop's do."""
+    keys = rows * ncols + cols
+    by_key = np.argsort(keys, kind="stable")
+    keys = keys[by_key]
+    head = np.empty(len(keys), dtype=bool)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    data = np.bincount(np.cumsum(head) - 1, weights=mass[by_key])
+    keys = keys[head]
+    indptr = np.searchsorted(keys, np.arange(nrows + 1) * ncols)
+    return indptr, keys % ncols, data
+
+
+def _flip_rows(law: UniformPick, states: tuple, n: int):
+    """(indptr, indices, data, targets) of the FlipBit walk law on the 2^n
+    strings: groups once per state, the move's fitness once per string,
+    and each row's masses summed per successor in pick order."""
+    # entry n flips nothing: a target or a state without groups stays
+    hits, x, mass, entries = _picks(law, states, n)
     flips = np.array([1 << (n - 1 - i) for i in range(n)] + [0])
-    x = np.repeat(owner, sizes)
-    succ = x ^ flips[np.array(entries, dtype=np.intp)]
+    succ = x ^ flips[entries]
     fitness = law.move.fitness
     if fitness is not None:
         fit = np.array([fitness(s) for s in states])
         succ = np.where(fit[succ] >= fit[x], succ, x)
     m = len(states)
-    # np.unique sorts the (state, successor) keys; bincount then adds each
-    # key's masses in input order, which is pick order
-    keys, inverse = np.unique(x * m + succ, return_inverse=True)
-    data = np.bincount(inverse, weights=np.repeat(masses, sizes))
-    indptr = np.searchsorted(keys, np.arange(m + 1) * m)
-    return indptr, keys % m, data, hits
+    return (*_merged_rows(x, succ, mass, m, m), hits)
+
+
+def _swap_chain(process: Process, max_states: int) -> Optional[FiniteChain]:
+    """The chain to_finite_chain's loop would build for a UniformPick walk
+    with a SwapInversion move whose starts are tuples ordering the same
+    n <= 15 distinct entries; None for any other process, which takes
+    the loop.  A state's code is the base-n number of its entries'
+    ranks, which fits in int64 for n <= 15.  The states are reached a
+    breadth-first level at a time, as the loop reaches them: a level's
+    picks give their successors' codes by arithmetic, and a new state
+    takes its place by its first occurrence among them, in row order and
+    then pick order.  Only new states are built as tuples, from the
+    start's own entries, and each row comes out merged and sorted as
+    FiniteChain would leave the loop's."""
+    law, support = process.step_law, process.initial_support
+    if not (isinstance(law, UniformPick) and isinstance(law.move, SwapInversion) and support
+            and all(isinstance(s, tuple) for s, _ in support)):
+        return None
+    values = sorted(support[0][0])
+    n = len(values)
+    rank = {v: r for r, v in enumerate(values)}
+    if not 0 < n <= 15 or len(rank) < n or any(sorted(s) != values for s, _ in support):
+        return None
+    index: dict = {}
+    for state, _ in support:
+        if state not in index:
+            if len(index) >= max_states:
+                raise _too_many(max_states)
+            index[state] = len(index)
+
+    import scipy.sparse
+
+    order = list(index)
+    by_rank = np.fromiter(values, dtype=object, count=n)
+    power = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    ranks = np.array([[rank[v] for v in s] for s in order], dtype=np.int8)
+    codes = reached = ranks @ power  # the level's codes, and every state's so far
+    level = order
+    counts, cols, data, targets = [], [], [], []
+    while level:
+        lo, m = len(order) - len(level), len(order)  # the level's first index, the states so far
+        # pair (0, 0) swaps nothing: a target or a state without groups stays
+        hits, x, mass, pairs = _picks(law, level, (0, 0))
+        targets += [lo + h for h in hits]
+        i, j = pairs.T
+        # rank[j] - rank[i] < 0 exactly where the pair is an inversion;
+        # every other pick stays, at its own state
+        drop = ranks[x, j] - ranks[x, i]
+        swaps = np.flatnonzero(drop < 0)
+        succ = codes[x[swaps]] + drop[swaps] * (power[i[swaps]] - power[j[swaps]])
+        del pairs, i, j, drop
+        # a code's first occurrence after every state's is that state's
+        # index, or m and above for a new state
+        uniq, inverse = np.unique(np.concatenate((reached, succ)), return_inverse=True)
+        first = np.full(len(uniq), m + len(succ))
+        np.minimum.at(first, inverse, np.arange(m + len(succ)))
+        new = np.flatnonzero(first >= m)
+        new = new[np.argsort(first[new])]  # discovery order
+        if m + len(new) > max_states:
+            raise _too_many(max_states)
+        first[new] = np.arange(m, m + len(new))
+        col = x + lo
+        col[swaps] = first[inverse[m:]]
+        indptr, indices, merged = _merged_rows(x, col, mass, len(level), m + len(new))
+        del x, mass, swaps, succ, inverse, first, col
+        counts.append(np.diff(indptr))
+        cols.append(indices)
+        data.append(merged)
+        codes = uniq[new]
+        reached = np.concatenate((reached, codes))
+        ranks = (codes[:, None] // power % n).astype(np.int8)
+        level = list(zip(*by_rank[ranks.T].tolist()))
+        order += level
+
+    m = len(order)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    kernel = scipy.sparse.csr_array((np.concatenate(data), np.concatenate(cols), indptr),
+                                    shape=(m, m))
+    start = np.zeros(m)
+    for state, p in support:
+        start[index[state]] += p
+    return FiniteChain(states=tuple(order), kernel=kernel, start=start,
+                       targets=frozenset(targets))
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,7 @@ def test_parse_potential_registry():
         ("plateau_upper(n=abc,k=2)", "plateau_upper parameter 'n' must be numeric, got 'abc'"),
         ("glue_two_part(x=1)", "glue_two_part takes no parameter 'x'; it takes k"),
         ("identity(k=1)", "identity takes no parameter 'k'; it takes none"),
+        ("glue_two_part(k=1,k=2)", "glue_two_part parameter 'k' is given twice"),
     ],
 )
 def test_parse_potential_names_what_is_wrong(spec, message):
@@ -301,6 +302,18 @@ def test_bound_command_rejects_a_non_finite_parameter(theorem_id, params, key, v
     assert captured.err == (
         f"drift: error: {theorem_id} parameter {key!r} must be finite, got {value}\n"
     )
+
+
+@pytest.mark.parametrize("params", [["e_x0=1,delta=1,delta=4"], ["e_x0=1,delta=1", "delta=4"],
+                                    ["delta=1", "e_x0=1", " delta =4"]])
+def test_bound_command_names_a_key_given_twice(params, capsys):
+    # a repeat within one --params item or across items; the last value
+    # used to win silently
+    code = main(["bound", "additive.upper", "--params", *params])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "drift: error: additive.upper parameter 'delta' is given twice\n"
 
 
 def test_bound_command_unknown_id(capsys):
@@ -526,6 +539,15 @@ def test_run_does_not_judge_a_tail_bound_by_the_expected_time(tmp_path, capsys):
     assert row[-1] == "indeterminate"
 
 
+def test_run_names_a_theorem_parameter_given_twice(tmp_path, capsys):
+    cfg = GOOD_CONFIG.replace("e_x0=20, delta=0.05", "e_x0=20, delta=0.05, e_x0=3")
+    code = main(["run", _write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "drift: error: mult.upper parameter 'e_x0' is given twice\n"
+
+
 def test_run_names_missing_theorem_parameter(tmp_path, capsys):
     cfg = GOOD_CONFIG.replace("e_x0=20, delta=0.05", "e_x0=20")
     code = main(["run", _write_config(tmp_path, cfg)])
@@ -584,6 +606,9 @@ def test_oracle_command_rejects_huge_state_space(capsys):
         ("updrift(n=10,k=100.5,delta=1)", "updrift parameter 'k' must be a whole number, got 100.5"),
         ("RLS-foo(n=5)",
          "unknown objective 'foo'; expected onemax, leadingones, plateau or linear"),
+        ("coupon(n=5,n=6)", "coupon parameter 'n' is given twice"),
+        ("OnePlusOneEA-leadingones(n=4, p=0.5, p=0.1)",
+         "OnePlusOneEA-leadingones parameter 'p' is given twice"),
     ],
 )
 def test_oracle_command_names_what_is_wrong_with_the_process(spec, message, capsys):

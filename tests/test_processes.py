@@ -98,10 +98,12 @@ def test_chain_capacity_error_carries_count():
     (make_ea_process("RLS", "leadingones", n=8), 256),
     (make_ea_process("OnePlusOneEA", "leadingones", n=6), 64),
     (make_graph_process("recolour", processes.random_3colorable_graph(5, 0.8, seed=1)), 32),
+    (make_sorting_process(5, (5, 4, 3, 2, 1)), 120),
 ])
 def test_chain_capacity_counts_the_start_support(proc, size):
-    # every state of these chains is in the start's support; the bit-string
-    # rows and the loop both count them
+    # every state of the bit-string chains is in the start's support, and
+    # sorting's are reached from one start; the array routes and the loop
+    # count them alike
     for p in (proc, dataclasses.replace(proc, step_law=None)):
         for max_states in (1, 3, size - 1):
             with pytest.raises(errors.CapacityError, match=f"max_states={max_states}$") as exc:
@@ -758,6 +760,8 @@ def test_distance_chains_are_the_bit_chains_lumped_by_hamming_distance(algorithm
 
 def _assert_same_chain(got, want):
     assert got.states == want.states
+    # the entries' types too, since 1 == 1.0
+    assert [tuple(map(type, s)) for s in got.states] == [tuple(map(type, s)) for s in want.states]
     for field in ("indptr", "indices", "data"):
         a, b = getattr(got.kernel, field), getattr(want.kernel, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
@@ -770,11 +774,24 @@ def _loop_chain(proc):
     return to_finite_chain(dataclasses.replace(proc, step_law=None))
 
 
+def _no_rows(state):
+    raise AssertionError("an array route reads no kernel rows")
+
+
+def _law_chain(proc):
+    """to_finite_chain's array route, which must not fall back on the loop."""
+    return to_finite_chain(dataclasses.replace(proc, exact_kernel=_no_rows))
+
+
 def _ea(n, p):
     return make_ea_process("OnePlusOneEA", "leadingones", n=n, mutation_rate=p)
 
 
-_BIT_CHAINS = {
+def _sorting(start):
+    return make_sorting_process(len(start), start)
+
+
+_ARRAY_CHAINS = {
     **{f"RLS-leadingones(n={n})": lambda n=n: make_ea_process("RLS", "leadingones", n=n)
        for n in range(1, 13)},
     "RLS-linear": lambda: make_ea_process("RLS", "linear", weights=(0.3, 0.2, 0.1, 0.05)),
@@ -787,21 +804,36 @@ _BIT_CHAINS = {
     "EA-linear": lambda: make_ea_process("OnePlusOneEA", "linear", weights=(5, 3, 2, 1),
                                          mutation_rate=0.4),
     "lifted": lambda: lift(make_ea_process("RLS", "leadingones", n=6), identity_potential()),
+    **{f"sorting(n={n})": lambda n=n: _sorting(tuple(range(n, 0, -1))) for n in range(2, 8)},
+    "sorting-shuffled": lambda: _sorting((3, 6, 1, 5, 2, 4)),
+    "sorting-sorted": lambda: _sorting((1, 2, 3, 4, 5)),
+    "sorting-0-based": lambda: _sorting((2, 0, 3, 1, 4)),
+    "sorting-float": lambda: _sorting((3.0, 1.0, 4.0, 2.0)),
+    "sorting-int64": lambda: _sorting(tuple(np.int64(v) for v in (4, 2, 5, 1, 3))),
+    # base-15 codes of 15 entries reach 15^15 - 1, near the top of int64
+    "sorting(n=15)-nearly-sorted": lambda: _sorting((2, 1, *range(3, 14), 15, 14)),
+    "sorting-lifted": lambda: lift(_sorting((4, 1, 3, 2)), identity_potential()),
 }
 
 
-@pytest.mark.parametrize("name", list(_BIT_CHAINS))
-def test_bit_chains_from_their_law_equal_the_loops(name):
-    proc = _BIT_CHAINS[name]()
-    law = proc.step_law
-    assert isinstance(law, BitFlipEA) or isinstance(law.move, processes.FlipBit)
-    _assert_same_chain(to_finite_chain(proc), _loop_chain(proc))
+@pytest.mark.parametrize("name", list(_ARRAY_CHAINS))
+def test_array_chains_from_their_law_equal_the_loops(name):
+    proc = _ARRAY_CHAINS[name]()
+    _assert_same_chain(_law_chain(proc), _loop_chain(proc))
+
+
+def test_sorting_past_fifteen_entries_takes_the_loop():
+    # base-16 codes of 16 entries would not fit in int64
+    start = (2, 1, *range(3, 17))
+    proc = _sorting(start)
+    assert processes._swap_chain(proc, 10_000) is None
+    assert to_finite_chain(proc).states == (start, tuple(range(1, 17)))
 
 
 @pytest.mark.parametrize("name", ["RLS-leadingones(n=10)", "two_sat(n=11)", "recolour(n=9)",
-                                  "EA-leadingones(n=8,p=0.1)"])
-def test_bit_chains_solve_bitwise_as_the_loops(name):
-    proc = _BIT_CHAINS[name]()
+                                  "EA-leadingones(n=8,p=0.1)", "sorting(n=6)", "sorting(n=7)"])
+def test_array_chains_solve_bitwise_as_the_loops(name):
+    proc = _ARRAY_CHAINS[name]()
     got = hitting_time_exact(to_finite_chain(proc))
     want = hitting_time_exact(_loop_chain(proc))
     assert got.per_state == want.per_state and got.from_start == want.from_start
@@ -810,7 +842,7 @@ def test_bit_chains_solve_bitwise_as_the_loops(name):
 @pytest.mark.parametrize("name", ["RLS-leadingones(n=5)", "two_sat(n=10)",
                                   "EA-leadingones(n=4,p=0.5)"])
 def test_bit_chain_with_a_start_out_of_product_order_takes_the_loop(name):
-    proc = _BIT_CHAINS[name]()
+    proc = _ARRAY_CHAINS[name]()
     support = proc.initial_support
     for shuffled in (support[::-1], support[1:] + support[:1]):
         moved = dataclasses.replace(proc, initial_support=shuffled)
@@ -839,7 +871,25 @@ def _flip_walks(draw):
     return processes._pick_process("flip-walk", law, sample_initial, lambda s: 0.0, support)
 
 
-@settings(max_examples=60, deadline=None)
-@given(proc=_flip_walks())
-def test_random_flip_walks_from_their_law_equal_the_loops(proc):
-    _assert_same_chain(to_finite_chain(proc), _loop_chain(proc))
+@st.composite
+def _swap_walks(draw):
+    """A SwapInversion walk from a random permutation of n <= 6 entries:
+    up to three groups of position pairs a state, chosen by its first
+    entry, with pairs in either order, equal, negative or repeated
+    positions, and an optional target set."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    start = tuple(draw(st.permutations(range(n))))
+    position = st.integers(min_value=-n, max_value=n - 1)
+    group = st.lists(st.tuples(position, position), min_size=1, max_size=4)
+    table = draw(st.lists(st.lists(group, max_size=3), min_size=n, max_size=n))
+    hits = draw(st.none() | st.sets(st.permutations(range(n)).map(tuple), max_size=3))
+    law = UniformPick(lambda perm: table[perm[0]], processes.SwapInversion(),
+                      None if hits is None else hits.__contains__)
+    return processes._pick_process("swap-walk", law, lambda rng: start, lambda s: 0.0,
+                                   ((start, 1.0),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(proc=_flip_walks() | _swap_walks())
+def test_random_pick_walks_from_their_law_equal_the_loops(proc):
+    _assert_same_chain(_law_chain(proc), _loop_chain(proc))
