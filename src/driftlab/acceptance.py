@@ -597,6 +597,7 @@ QUICK = (
 
 def run_suite(name: str = "paper_acceptance", seed: int = 0) -> list:
     """Run the named suite and return one ComparisonRow per scenario."""
+    seed = processes._natural("run_suite", "seed", seed)
     if name == "paper_acceptance":
         picks = tuple(CRITERIA)
     elif name == "quick":

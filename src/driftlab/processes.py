@@ -8,8 +8,9 @@ oracle module can solve for expected hitting times without sampling.
 """
 
 import inspect
+import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, compress, product, repeat
 from math import comb
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -73,9 +74,9 @@ class FlipBit:
     """The move of a UniformPick walk on tuples whose entries are the two
     values: move(bits, i) switches entry i to the other value.  With a
     fitness, the flipped tuple is kept only when its fitness is not lower
-    (RLS), else bits stays.  On the 2^n tuples of a uniform start, read
-    as binary numbers in product order, flipping entry i of x is
-    x ^ (1 << (n-1-i)), which to_finite_chain uses."""
+    (RLS), else bits stays.  Read as the binary number x of its entries'
+    ranks, a tuple of n entries flipped at i is x ^ (1 << (n-1-i)), which
+    to_finite_chain uses."""
 
     values: tuple
     fitness: Optional[Callable[[State], float]] = None
@@ -91,11 +92,11 @@ class FlipBit:
 
 @dataclass(frozen=True)
 class SwapInversion:
-    """The move of a UniformPick walk on tuples of distinct entries:
+    """The move of a UniformPick walk on tuples of n distinct entries:
     move(perm, (i, j)) swaps entries i and j when perm[i] > perm[j], else
-    returns perm.  Read as base-n numbers of the entries' ranks,
-    swapping i and j adds (rank[j] - rank[i]) * (n^(n-1-i) - n^(n-1-j))
-    to the code, which to_finite_chain uses."""
+    returns perm.  Read as the base-n number of its entries' ranks, a
+    tuple whose entries i and j swap gains (rank[j] - rank[i]) *
+    (n^(n-1-i) - n^(n-1-j)), which to_finite_chain uses."""
 
     def __call__(self, perm: tuple, pair) -> tuple:
         i, j = pair
@@ -135,9 +136,10 @@ class Process:
         UniformPick walk (recolour, vertex cover, 2-SAT, sorting, RLS on
         bit strings), whose three compute the groups of a state once
         between them.  The rest are stepped trial by trial, as is None,
-        where only step itself says.  to_finite_chain reads the rows of
-        a BitFlipEA, or of a UniformPick walk with a FlipBit move (RLS,
-        2-SAT, recolour) or a SwapInversion move (sorting), from the law
+        where only step itself says.  to_finite_chain builds the chain
+        of a BitFlipEA, or of a UniformPick walk with a FlipBit move
+        (RLS, 2-SAT, recolour) or a SwapInversion move (sorting), by one
+        array route from integer codes of its states, reading the law
         itself; vertex cover and the KernelDraw chains keep its loop over
         exact_kernel.  lift keeps the law; a process given another step,
         target or kernel must drop it.
@@ -353,6 +355,8 @@ def _pick_process(name, law: UniformPick, sample_initial, value,
     no other state can take that state's id."""
     last = [object(), ()]
     move, regroup = law.move, law.regroup
+    if not inspect.isfunction(move):
+        move = move.__call__  # a typed move's bound method skips the instance's call slot
 
     def groups(state):
         if state is not last[0]:
@@ -1007,22 +1011,21 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
     FiniteChain checks it.  Raises a capacity error once more than
     max_states states have been discovered, the start's among them.
 
-    Two kinds of walk take an array route that builds the same chain,
-    array for array, from index arrays: a walk on bit strings whose
-    start lists the 2^n strings in product order (a BitFlipEA, or a
-    UniformPick walk with a FlipBit move) takes _bit_chain, and a
-    UniformPick walk with a SwapInversion move (sorting) whose starts
-    order the same n <= 15 distinct entries takes _swap_chain.  Vertex
-    cover, the kernel chains and every other process take the loop.
+    One array route, _code_chain, builds the same chain, array for
+    array, for a BitFlipEA and for a UniformPick walk with a FlipBit or
+    SwapInversion move, whenever every start state is a tuple of n
+    entries over k values with k^n < 2^63: 0 and 1 for the EA, the
+    FlipBit's two values, or for a swap walk the n distinct entries of
+    its first start, which every start state must order.  Vertex cover,
+    the kernel chains and every other process or start take the loop.
     """
     if process.exact_kernel is None:
         raise UnsupportedError(f"{process.name} has no exact kernel")
     if process.initial_support is None:
         raise UnsupportedError(f"{process.name} has no explicit initial distribution")
-    for route in (_bit_chain, _swap_chain):
-        chain = route(process, max_states)
-        if chain is not None:
-            return chain
+    built = _code_chain(process, max_states)
+    if built is not None:
+        return built
 
     index: dict = {}
     order: list = []
@@ -1074,43 +1077,121 @@ def _too_many(max_states: int) -> CapacityError:
     return CapacityError(f"state space exceeds max_states={max_states}", count=max_states + 1)
 
 
-def _bit_chain(process: Process, max_states: int) -> Optional[FiniteChain]:
-    """The chain to_finite_chain's loop would build for a BitFlipEA, or a
-    UniformPick walk with a FlipBit move, whose start lists the 2^n
-    strings in product order; None for any other process, which takes
-    the loop.  Those strings are every state, string x the one at index
-    x of the start, and each row comes out merged and sorted as
-    FiniteChain would leave the loop's."""
+def _code_chain(process: Process, max_states: int) -> Optional[FiniteChain]:
+    """The chain to_finite_chain's loop would build for a process its
+    docstring sends here, else None.  A state's code is the base-k number
+    of its entries' ranks; a level's successors' codes come by arithmetic,
+    and only new states are built as tuples, from the values."""
     law, support = process.step_law, process.initial_support
+    move = getattr(law, "move", None)
+    labels = tuple(map(operator.itemgetter(0), support))
+    if not labels or set(map(type, labels)) != {tuple}:
+        return None
+    values = ((0, 1) if isinstance(law, BitFlipEA) else move.values if isinstance(move, FlipBit)
+              else sorted(labels[0]) if isinstance(move, SwapInversion) else None)
+    if values is None:
+        return None
+    n = law.n if isinstance(law, BitFlipEA) else len(labels[0])
+    k, rank = len(values), {v: r for r, v in enumerate(values)}
+    if len(rank) < k or k**n >= 2**63 or set(map(len, labels)) != {n}:
+        return None
+    # each entry's rank, -1 for none of the values; byte-sized ints in one pass
+    try:
+        raw = np.frombuffer(b"".join(map(bytes, labels)), np.uint8)
+        digits = np.fromiter(map(rank.get, range(raw.max(initial=0) + 1), repeat(-1)), np.int64)[raw]
+    except (TypeError, ValueError):
+        digits = np.fromiter(map(rank.get, chain.from_iterable(labels), repeat(-1)), np.int64)
+    digits = digits.reshape(len(labels), n)
+    if (digits < 0).any() or (isinstance(move, SwapInversion)
+                              and (np.sort(digits) != np.arange(n)).any()):
+        return None
+    power = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    by_rank = np.fromiter(values, dtype=object, count=k)
+    # state indices by code, over every code if there are max_states or fewer
+    table = np.full(k**n, -1) if k**n <= max_states else None
+    reached = digits @ power
+    start_at, first = _placed(reached, reached[:0], table, max_states)
+    if len(first) < len(labels):  # a state the start lists twice
+        labels, reached, digits = [labels[i] for i in first.tolist()], reached[first], digits[first]
+    order = level = list(labels)
     if isinstance(law, BitFlipEA):
-        values, n = (0, 1), law.n
-    elif isinstance(law, UniformPick) and isinstance(law.move, FlipBit):
-        values, n = law.move.values, max(len(support).bit_length() - 1, 0)
-    else:
-        return None
-    # a lazy comparison: a copy of the product would hold every string twice
-    if len(support) != 1 << n or any(
-            s != t for (s, _), t in zip(support, product(values, repeat=n))):
-        return None
-    if len(support) > max_states:
-        raise _too_many(max_states)
-
+        fit, flip_mass = _mask_tables(law, list(product(values, repeat=n)))
+        top = k**n - 1  # the all-ones string, the one target
+    elif isinstance(move, FlipBit):
+        flip = np.append(power, 0)  # entry n flips nothing
+        fitness, fit = move.fitness, np.empty(0, dtype=np.int64)
+    codes, moved, parts, targets = reached, slice(None), [], []
+    while level:
+        lo = len(order) - len(level)  # the level's first index
+        if isinstance(law, BitFlipEA):
+            hits = np.flatnonzero(codes == top).tolist()
+            succs, probs = zip(*[_mask_row(fit, flip_mass, c) if c != top else ([top], [1.0])
+                                 for c in codes.tolist()])
+            x = np.repeat(np.arange(len(level)), list(map(len, succs)))
+            succ, mass = np.concatenate(succs), np.concatenate(probs)
+        elif isinstance(move, FlipBit):
+            # a target, or a state without groups, picks entry n and stays
+            hits, x, mass, entries = _picks(law, level, n)
+            own = codes[x]
+            succ = own ^ flip[entries]
+            if fitness is not None:
+                # RLS keeps a flip not lower in fitness; strings of no state come last
+                fit = np.concatenate((fit, [fitness(s) for s in level]))
+                trial, fresh = _placed(succ, reached, None if table is None else table.copy(),
+                                       np.inf)
+                strings = by_rank[(succ[fresh, None] // power % k).T].tolist()
+                theirs = [fitness(s) for s in zip(*strings)]
+                succ = np.where(np.concatenate((fit, theirs))[trial] >= fit[lo:][x], succ, own)
+        else:
+            # pair (0, 0) swaps nothing: a target or a state without groups stays
+            hits, x, mass, pairs = _picks(law, level, (0, 0))
+            i, j = pairs.T
+            # rank[j] < rank[i] exactly where the pair is an inversion, which moves
+            drop = digits[x, j] - digits[x, i]
+            moved = np.flatnonzero(drop < 0)
+            succ = codes[x[moved]] + drop[moved] * (power[i[moved]] - power[j[moved]])
+        targets += [lo + h for h in hits]
+        col = x + lo
+        col[moved], first = _placed(succ, reached, table, max_states)
+        parts.append(_merged_rows(x, col, mass, len(level), len(order) + len(first)))
+        codes = succ[first]
+        reached = np.concatenate((reached, codes))
+        digits = (codes[:, None] // power % k).astype(np.int8)
+        level = list(zip(*by_rank[digits.T].tolist()))
+        order += level
     import scipy.sparse
+    m = len(order)
+    counts, indices, data = map(np.concatenate, zip(*parts))
+    kernel = scipy.sparse.csr_array((data, indices, np.append(0, np.cumsum(counts))), shape=(m, m))
+    start = np.bincount(start_at, np.fromiter(map(operator.itemgetter(1), support), float), m)
+    return FiniteChain(states=tuple(order), kernel=kernel, start=start,
+                       targets=frozenset(targets))
 
-    states = tuple(s for s, _ in support)
-    m = len(states)
-    if isinstance(law, BitFlipEA):
-        fit, mass = _mask_tables(law, states)
-        top = m - 1  # the all-ones string, the one target
-        succs, probs = zip(*[_mask_row(fit, mass, x) for x in range(top)],
-                           (np.array([top]), np.array([1.0])))
-        indptr = np.cumsum([0, *map(len, succs)])
-        indices, data, targets = np.concatenate(succs), np.concatenate(probs), [top]
-    else:
-        indptr, indices, data, targets = _flip_rows(law, states, n)
-    kernel = scipy.sparse.csr_array((data, indices, indptr), shape=(m, m))
-    start = np.array([p for _, p in support], dtype=float)
-    return FiniteChain(states=states, kernel=kernel, start=start, targets=frozenset(targets))
+
+def _placed(codes, reached, table, max_states):
+    """(index, first) of codes, given reached, the states' codes in index
+    order, and table, their indices by code or None: each code's index,
+    those of no state numbered on by first occurrence, into table, and the
+    positions of their first occurrences."""
+    m, keys = len(reached), codes
+    if table is None:
+        uniq, keys = np.unique(np.concatenate((reached, codes)), return_inverse=True)
+        table = np.full(len(uniq), -1)
+        table[keys[:m]] = np.arange(m)
+        keys = keys[m:]
+    found = table[keys]
+    fresh = np.flatnonzero(found < 0)
+    if not len(fresh):
+        return found, fresh
+    unknown = keys[fresh]
+    table[unknown] = len(codes)
+    np.minimum.at(table, unknown, fresh)
+    fresh = fresh[table[unknown] == fresh]
+    if m + len(fresh) > max_states:
+        raise _too_many(max_states)
+    table[keys[fresh]] = np.arange(m, m + len(fresh))
+    found[found < 0] = table[unknown]
+    return found, fresh
 
 
 def _picks(law: UniformPick, states, stay):
@@ -1121,141 +1202,36 @@ def _picks(law: UniformPick, states, stay):
     target, or a state without groups, picks stay with mass 1."""
     target, groups = law.target, law.groups
     stays = ((stay,),)
-    rows, hits = [], []
-    for x, state in enumerate(states):
-        found = groups(state)
-        if target(state) if target is not None else not found:
-            hits.append(x)
-            found = stays
-        rows.append(found or stays)
-    picked = [group for found in rows for group in found]
+    rows = list(map(groups, states))
+    hit = list(map(target, states)) if target is not None else list(map(operator.not_, rows))
+    rows = [stays if h or not found else found for found, h in zip(rows, hit)]
+    hits = list(compress(range(len(rows)), hit))
+    picked = list(chain.from_iterable(rows))
     per_row = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     sizes = np.fromiter(map(len, picked), dtype=np.intp, count=len(picked))
     owner = np.repeat(np.arange(len(rows)), per_row)
     # a group handed out for many states is converted once; picked holds
     # every group, so no two of them share an id
-    arrays = {key: np.array(group, dtype=np.intp)
-              for key, group in {id(group): group for group in picked}.items()}
-    entries = np.concatenate([arrays[id(group)] for group in picked])
+    ids = list(map(id, picked))
+    arrays = {key: np.array(group, dtype=np.intp) for key, group in dict(zip(ids, picked)).items()}
+    entries = np.concatenate(list(map(arrays.__getitem__, ids)))
     return (hits, np.repeat(owner, sizes), np.repeat(1.0 / (per_row[owner] * sizes), sizes),
             entries)
 
 
 def _merged_rows(rows, cols, mass, nrows: int, ncols: int):
-    """(indptr, indices, data) of the nrows x ncols CSR arrays with mass
-    summed at each (row, col), the columns of each row ascending.  A
-    stable sort keeps each key's masses in input order, and bincount adds
-    them in that order, so that rows given in pick order sum as the
-    loop's do."""
+    """(counts, indices, data) of the nrows x ncols CSR rows with mass
+    summed at each (row, col) in input order, as the loop sums a row in
+    pick order, the columns of each row ascending and counts its entries."""
     keys = rows * ncols + cols
-    by_key = np.argsort(keys, kind="stable")
-    keys = keys[by_key]
-    head = np.empty(len(keys), dtype=bool)
-    head[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    data = np.bincount(np.cumsum(head) - 1, weights=mass[by_key])
-    keys = keys[head]
-    indptr = np.searchsorted(keys, np.arange(nrows + 1) * ncols)
-    return indptr, keys % ncols, data
-
-
-def _flip_rows(law: UniformPick, states: tuple, n: int):
-    """(indptr, indices, data, targets) of the FlipBit walk law on the 2^n
-    strings: groups once per state, the move's fitness once per string,
-    and each row's masses summed per successor in pick order."""
-    # entry n flips nothing: a target or a state without groups stays
-    hits, x, mass, entries = _picks(law, states, n)
-    flips = np.array([1 << (n - 1 - i) for i in range(n)] + [0])
-    succ = x ^ flips[entries]
-    fitness = law.move.fitness
-    if fitness is not None:
-        fit = np.array([fitness(s) for s in states])
-        succ = np.where(fit[succ] >= fit[x], succ, x)
-    m = len(states)
-    return (*_merged_rows(x, succ, mass, m, m), hits)
-
-
-def _swap_chain(process: Process, max_states: int) -> Optional[FiniteChain]:
-    """The chain to_finite_chain's loop would build for a UniformPick walk
-    with a SwapInversion move whose starts are tuples ordering the same
-    n <= 15 distinct entries; None for any other process, which takes
-    the loop.  A state's code is the base-n number of its entries'
-    ranks, which fits in int64 for n <= 15.  The states are reached a
-    breadth-first level at a time, as the loop reaches them: a level's
-    picks give their successors' codes by arithmetic, and a new state
-    takes its place by its first occurrence among them, in row order and
-    then pick order.  Only new states are built as tuples, from the
-    start's own entries, and each row comes out merged and sorted as
-    FiniteChain would leave the loop's."""
-    law, support = process.step_law, process.initial_support
-    if not (isinstance(law, UniformPick) and isinstance(law.move, SwapInversion) and support
-            and all(isinstance(s, tuple) for s, _ in support)):
-        return None
-    values = sorted(support[0][0])
-    n = len(values)
-    rank = {v: r for r, v in enumerate(values)}
-    if not 0 < n <= 15 or len(rank) < n or any(sorted(s) != values for s, _ in support):
-        return None
-    index: dict = {}
-    for state, _ in support:
-        if state not in index:
-            if len(index) >= max_states:
-                raise _too_many(max_states)
-            index[state] = len(index)
-
-    import scipy.sparse
-
-    order = list(index)
-    by_rank = np.fromiter(values, dtype=object, count=n)
-    power = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    ranks = np.array([[rank[v] for v in s] for s in order], dtype=np.int8)
-    codes = reached = ranks @ power  # the level's codes, and every state's so far
-    level = order
-    counts, cols, data, targets = [], [], [], []
-    while level:
-        lo, m = len(order) - len(level), len(order)  # the level's first index, the states so far
-        # pair (0, 0) swaps nothing: a target or a state without groups stays
-        hits, x, mass, pairs = _picks(law, level, (0, 0))
-        targets += [lo + h for h in hits]
-        i, j = pairs.T
-        # rank[j] - rank[i] < 0 exactly where the pair is an inversion;
-        # every other pick stays, at its own state
-        drop = ranks[x, j] - ranks[x, i]
-        swaps = np.flatnonzero(drop < 0)
-        succ = codes[x[swaps]] + drop[swaps] * (power[i[swaps]] - power[j[swaps]])
-        del pairs, i, j, drop
-        # a code's first occurrence after every state's is that state's
-        # index, or m and above for a new state
-        uniq, inverse = np.unique(np.concatenate((reached, succ)), return_inverse=True)
-        first = np.full(len(uniq), m + len(succ))
-        np.minimum.at(first, inverse, np.arange(m + len(succ)))
-        new = np.flatnonzero(first >= m)
-        new = new[np.argsort(first[new])]  # discovery order
-        if m + len(new) > max_states:
-            raise _too_many(max_states)
-        first[new] = np.arange(m, m + len(new))
-        col = x + lo
-        col[swaps] = first[inverse[m:]]
-        indptr, indices, merged = _merged_rows(x, col, mass, len(level), m + len(new))
-        del x, mass, swaps, succ, inverse, first, col
-        counts.append(np.diff(indptr))
-        cols.append(indices)
-        data.append(merged)
-        codes = uniq[new]
-        reached = np.concatenate((reached, codes))
-        ranks = (codes[:, None] // power % n).astype(np.int8)
-        level = list(zip(*by_rank[ranks.T].tolist()))
-        order += level
-
-    m = len(order)
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    kernel = scipy.sparse.csr_array((np.concatenate(data), np.concatenate(cols), indptr),
-                                    shape=(m, m))
-    start = np.zeros(m)
-    for state, p in support:
-        start[index[state]] += p
-    return FiniteChain(states=tuple(order), kernel=kernel, start=start,
-                       targets=frozenset(targets))
+    if not (keys[1:] > keys[:-1]).all():
+        by_key = np.argsort(keys, kind="stable")
+        keys = keys[by_key]
+        head = np.concatenate(([True], keys[1:] != keys[:-1]))
+        mass = np.bincount(np.cumsum(head) - 1, weights=mass[by_key])
+        keys = keys[head]
+        cols = keys % ncols
+    return np.diff(np.searchsorted(keys, np.arange(nrows + 1) * ncols)), cols, mass
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from driftlab import bounds, cli, errors, oracle, processes
+from driftlab import acceptance, bounds, cli, errors, oracle, processes
 from driftlab.cli import (
     load_config,
     main,
@@ -657,6 +657,23 @@ def test_simulate_command_names_a_negative_seed(capsys):
     assert captured.err == (
         "drift: error: simulate_hitting parameter 'seed' must be non-negative, got -1\n"
     )
+
+
+@pytest.mark.parametrize("seed", ["-1", "-2000"])
+def test_suite_command_names_a_negative_seed(capsys, seed):
+    code = main(["suite", "quick", "--seed", seed])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"drift: error: run_suite parameter 'seed' must be non-negative, got {seed}\n"
+    )
+
+
+def test_run_suite_names_a_fractional_seed():
+    with pytest.raises(errors.ParameterError,
+                       match="run_suite parameter 'seed' must be a whole number, got 2.5"):
+        acceptance.run_suite("quick", seed=2.5)
 
 
 def test_simulate_command_names_a_trial_count_below_one(capsys):

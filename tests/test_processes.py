@@ -813,7 +813,29 @@ _ARRAY_CHAINS = {
     # base-15 codes of 15 entries reach 15^15 - 1, near the top of int64
     "sorting(n=15)-nearly-sorted": lambda: _sorting((2, 1, *range(3, 14), 15, 14)),
     "sorting-lifted": lambda: lift(_sorting((4, 1, 3, 2)), identity_potential()),
+    # RLS from one string reaches new strings, and rejects flips to
+    # strings it has not reached
+    "RLS-leadingones(n=8)-one-string": lambda: _started(
+        make_ea_process("RLS", "leadingones", n=8), ((1, 1, 0, 1, 0, 0, 1, 0), 1.0)),
+    "RLS-linear-one-string": lambda: _started(
+        make_ea_process("RLS", "linear", weights=(0.3, 0.2, 0.1, 0.05)), ((0, 1, 0, 0), 1.0)),
+    "two_sat(n=10)-one-string-twice": lambda: _started(
+        _ARRAY_CHAINS["two_sat(n=10)"](), ((False,) * 10, 0.25), ((True, False) * 5, 0.5),
+        ((False,) * 10, 0.25)),
+    "EA-leadingones(n=4,p=0.5)-shuffled": lambda: _shuffled(_ea(4, 0.5)),
+    "EA-leadingones(n=6,p=0.3)-one-string": lambda: _started(_ea(6, 0.3), ((0, 1) * 3, 1.0)),
 }
+
+
+def _started(proc, *support):
+    """proc with the start support, pairs of (state, mass)."""
+    return dataclasses.replace(proc, initial_support=support)
+
+
+def _shuffled(proc):
+    """proc with its start support in a seeded random order."""
+    support = proc.initial_support
+    return _started(proc, *(support[i] for i in np.random.default_rng(0).permutation(len(support))))
 
 
 @pytest.mark.parametrize("name", list(_ARRAY_CHAINS))
@@ -822,11 +844,26 @@ def test_array_chains_from_their_law_equal_the_loops(name):
     _assert_same_chain(_law_chain(proc), _loop_chain(proc))
 
 
+@pytest.mark.parametrize("name", list(_ARRAY_CHAINS))
+def test_array_chains_fill_max_states_as_the_loops(name):
+    # at its own state count a chain's codes outnumber max_states unless
+    # its start holds every tuple, so both ways of finding a code are met
+    proc = _ARRAY_CHAINS[name]()
+    want = _loop_chain(proc)
+    size = len(want.states)
+    _assert_same_chain(to_finite_chain(dataclasses.replace(proc, exact_kernel=_no_rows),
+                                       max_states=size), want)
+    with pytest.raises(errors.CapacityError, match=f"max_states={size - 1}$") as exc:
+        to_finite_chain(proc, max_states=size - 1)
+    assert exc.value.count == size
+
+
 def test_sorting_past_fifteen_entries_takes_the_loop():
     # base-16 codes of 16 entries would not fit in int64
     start = (2, 1, *range(3, 17))
     proc = _sorting(start)
-    assert processes._swap_chain(proc, 10_000) is None
+    with pytest.raises(AssertionError, match="an array route reads no kernel rows"):
+        _law_chain(proc)
     assert to_finite_chain(proc).states == (start, tuple(range(1, 17)))
 
 
@@ -841,21 +878,23 @@ def test_array_chains_solve_bitwise_as_the_loops(name):
 
 @pytest.mark.parametrize("name", ["RLS-leadingones(n=5)", "two_sat(n=10)",
                                   "EA-leadingones(n=4,p=0.5)"])
-def test_bit_chain_with_a_start_out_of_product_order_takes_the_loop(name):
+def test_bit_chain_with_a_start_out_of_product_order_takes_the_array_route(name):
     proc = _ARRAY_CHAINS[name]()
     support = proc.initial_support
     for shuffled in (support[::-1], support[1:] + support[:1]):
-        moved = dataclasses.replace(proc, initial_support=shuffled)
-        chain = to_finite_chain(moved)
+        moved = _started(proc, *shuffled)
+        chain = _law_chain(moved)
         assert chain.states == tuple(s for s, _ in shuffled)
         _assert_same_chain(chain, _loop_chain(moved))
 
 
 @st.composite
 def _flip_walks(draw):
-    """A FlipBit walk on the strings of n <= 6 bits: up to three groups of
-    bit positions a state, of unequal sizes or none, an optional fitness
-    with ties and an optional target set."""
+    """A FlipBit walk on the strings of n <= 6 bits, started from all of
+    them or from a non-empty list of them, repeats allowed, each entry
+    with the same mass: up to three groups of bit positions a state, of
+    unequal sizes or none, an optional fitness with ties and an optional
+    target set."""
     n = draw(st.integers(min_value=1, max_value=6))
     values = draw(st.sampled_from([(0, 1), (False, True)]))
     strings = list(itertools.product(values, repeat=n))
@@ -865,10 +904,12 @@ def _flip_walks(draw):
                                        min_size=len(strings), max_size=len(strings)))
     fitness = None if scores is None else dict(zip(strings, scores)).__getitem__
     hits = draw(st.none() | st.sets(st.sampled_from(strings)))
-    sample_initial, support = processes._uniform_bits(n, values)
+    starts = draw(st.just(strings)
+                  | st.lists(st.sampled_from(strings), min_size=1, max_size=len(strings) + 2))
     law = UniformPick(table.__getitem__, processes.FlipBit(values, fitness),
                       None if hits is None else hits.__contains__)
-    return processes._pick_process("flip-walk", law, sample_initial, lambda s: 0.0, support)
+    return processes._pick_process("flip-walk", law, lambda rng: starts[0], lambda s: 0.0,
+                                   tuple((s, 1.0 / len(starts)) for s in starts))
 
 
 @st.composite
