@@ -424,6 +424,161 @@ def test_every_spec_parameter_has_a_converter():
             assert kind in cli._CONVERTERS, f"{fn.__name__} parameter {key!r}: {kind!r}"
 
 
+# one drift bound call per theorem id, with its stdout byte for byte: the
+# flags' order included, computed flags (var.upper, budget.var, levelbased)
+# first and additive.lower's profile flag second
+_PINNED_BOUNDS = [
+    ("additive.upper", "e_x0=10,delta=0.5",
+     "additive.upper upper_on_ET 20\n"
+     "  drift_D: unchecked\n"
+     "  non_negativity_NN: unchecked\n"),
+    ("additive.lower", "e_x0=10,delta=0.5,c=2",
+     "additive.lower lower_on_ET 20\n"
+     "  drift_D: unchecked\n"
+     "  step_bound_B: unchecked\n"),
+    ("additive.lower", "e_x0=10,delta=0.5,c=2,profile=bounded_state",
+     "additive.lower lower_on_ET 20\n"
+     "  drift_D: unchecked\n"
+     "  state_bound_UB: unchecked\n"),
+    ("additive.overshoot.upper", "e_x0=10,e_xt=-1,delta=0.5",
+     "additive.overshoot.upper upper_on_ET 22\n"
+     "  drift_D: unchecked\n"),
+    ("mult.upper", "e_x0=20,delta=0.05",
+     "mult.upper upper_on_ET 79.9146454711\n"
+     "  drift_D: unchecked\n"),
+    ("mult.tail", "s=50,delta=0.02,k=2",
+     "mult.tail upper_tail_prob 0.135335283237\n"
+     "  drift_D: unchecked\n"
+     "  start_bound: unchecked\n"),
+    ("mult.lower.monotone", "x0=100,delta=0.1,beta=0.25",
+     "mult.lower.monotone lower_on_ET 27.6310211159\n"
+     "  drift_D: unchecked\n"
+     "  monotone_M: unchecked\n"
+     "  concentration_C: unchecked\n"),
+    ("mult.lower.bounded", "x0=100,delta=0.1,c=1,x_min=2",
+     "mult.lower.bounded lower_on_ET 9.21004313518\n"
+     "  drift_D: unchecked\n"
+     "  step_bound_B: unchecked\n"),
+    ("var.upper", "h=linear:0.5,x_min=1,x0=10",
+     "var.upper upper_on_ET 6.60517018599\n"
+     "  h_monotone: pass\n"
+     "  drift_D: unchecked\n"),
+    ("tail.add.upper.bounded", "n=10,delta=1,c=1,s=40",
+     "tail.add.upper.bounded upper_tail_prob 0.00673794699909\n"
+     "  drift_D: unchecked\n"
+     "  step_bound_B: unchecked\n"),
+    ("tail.add.upper.concentrated", "n=10,delta=1,c=1,eps=0.5,s=40",
+     "tail.add.upper.concentrated upper_tail_prob 0.99512908905\n"
+     "  drift_D: unchecked\n"
+     "  concentration_C: unchecked\n"),
+    ("tail.add.lower.bounded", "n=10,delta=1,c=1,s=4",
+     "tail.add.lower.bounded upper_tail_prob 0.0439369336234\n"
+     "  drift_D: unchecked\n"
+     "  step_bound_B: unchecked\n"),
+    ("tail.add.lower.concentrated", "n=10,delta=1,c=1,eps=0.5,s=4",
+     "tail.add.lower.concentrated upper_tail_prob 0.996952894067\n"
+     "  drift_D: unchecked\n"
+     "  concentration_C: unchecked\n"),
+    ("neg.515", "n=10,eps=-0.5,c=1,s=0.5",
+     "neg.515 upper_tail_prob 0.0410424993119\n"
+     "  drift_D: unchecked\n"
+     "  step_bound_B: unchecked\n"),
+    ("neg.515", "n=10,eps=-0.1,c=2,s=100",
+     "neg.515 upper_tail_prob 1\n"
+     "  drift_D: unchecked\n"
+     "  step_bound_B: unchecked\n"),
+    ("fss.upper", "p_leave=0.5:0.5:0.5,p_back=0:0.2:0.2,x0=3",
+     "fss.upper upper_on_ET 7.92\n"
+     "  down_prob_lb: unchecked\n"
+     "  up_prob_ub: unchecked\n"
+     "  up_steps_of_1: unchecked\n"),
+    ("fss.lower", "p_fwd=0.5:0.5:0.5,p_back_lb=0:0.1:0.1,x0=3",
+     "fss.lower lower_on_ET 6.88\n"
+     "  down_prob_ub: unchecked\n"
+     "  down_steps_of_1: unchecked\n"
+     "  up_prob_lb: unchecked\n"),
+    ("headwind", "p_minus=0:0.5:0.5:0.5,p_plus=0:0.1:0.1:0.1,delta=0:0:0.2:0.3,kappa=1,x0=3",
+     "headwind upper_on_ET 12\n"
+     "  delta_monotone: pass\n"),
+    ("headwind.closed", "p_minus=0:0.5:0.5:0.5,p_plus=0:0.1:0.1:0.1,delta=0:-0.1:0.2:0.3,kappa=1",
+     "headwind.closed upper_on_ET 12\n"
+     "  delta_monotone: fail\n"),
+    ("headwind.closed", "p_minus=0:0.5:0.5:0.5,p_plus=0:0.1:0.1:0.1,delta=0:0.3:0.2:0.4,kappa=0",
+     "headwind.closed upper_on_ET 10.8333333333\n"
+     "  delta_monotone: fail\n"),
+    ("updrift", "n=5,k=20,e0=1,gamma0=0.5,delta=0.5",
+     "updrift upper_on_ET 429.140364433\n"
+     "  binomial_domination: unchecked\n"
+     "  gain_at_zero: unchecked\n"),
+    ("updrift", "n=5,k=20,e0=1,gamma0=0.5,delta=2",
+     "updrift upper_on_ET 248.911495256\n"
+     "  binomial_domination: unchecked\n"
+     "  gain_at_zero: unchecked\n"),
+    ("levelbased", "m=3,lam=2000000,delta=0.5,gamma0=0.5,z=0.01:0.05",
+     "levelbased upper_on_ET 1.24258574105e+13\n"
+     "  population_size_PS: pass\n"
+     "  drift_D: unchecked\n"
+     "  zero_condition: unchecked\n"),
+    ("levelbased", "m=3,lam=100,delta=0.5,gamma0=0.5,z=0.01:0.05",
+     "levelbased upper_on_ET nan\n"
+     "  population_size_PS: fail\n"
+     "  drift_D: unchecked\n"
+     "  zero_condition: unchecked\n"),
+    ("flm.upper", "p=0.5:0.25",
+     "flm.upper upper_on_ET 6\n"
+     "  monotone_levels: unchecked\n"),
+    ("flm.visit.lower", "p=0.5:0.25,v=0.5:1",
+     "flm.visit.lower lower_on_ET 5\n"
+     "  monotone_levels: unchecked\n"),
+    ("flm.visit.upper", "p=0.5:0.25,v=0.5:1",
+     "flm.visit.upper upper_on_ET 5\n"
+     "  monotone_levels: unchecked\n"),
+    ("budget.add", "x0=10,delta=1,t=3",
+     "budget.add fixed_budget_value 7\n"
+     "  drift_D: unchecked\n"),
+    ("budget.add", "x0=10,delta=1,t=3,pr_t_le_t=0.5",
+     "budget.add fixed_budget_value 8.5\n"
+     "  drift_D: unchecked\n"),
+    ("budget.var", "h=linear:0.1,x0=10,t=3",
+     "budget.var fixed_budget_value 7.29\n"
+     "  greed_admitting: pass\n"
+     "  h_convex: pass\n"
+     "  drift_D: unchecked\n"),
+    ("budget.var", "h=linear:0.1,x0=10,t=3,variant=limited",
+     "budget.var fixed_budget_value 7.29\n"
+     "  greed_admitting: pass\n"
+     "  h_convex: pass\n"
+     "  drift_D: unchecked\n"),
+    ("budget.var", "h=linear:-0.1,x0=10,t=3,variant=limited",
+     "budget.var fixed_budget_value 13.31\n"
+     "  greed_admitting: pass\n"
+     "  h_convex: pass\n"
+     "  h_tilde_slope_at_0: fail\n"
+     "  drift_D: unchecked\n"),
+    ("budget.threshold", "h=linear:0.5,x=1,y=10",
+     "budget.threshold fixed_budget_value 5\n"
+     "  h_monotone: pass\n"),
+    ("budget.threshold", "h=const:2,x=1,y=10,domain=integer",
+     "budget.threshold fixed_budget_value 5\n"
+     "  h_monotone: pass\n"),
+]
+
+
+@pytest.mark.parametrize("theorem_id, params, want", _PINNED_BOUNDS)
+def test_bound_command_prints_every_theorem_as_pinned(theorem_id, params, want, capsys):
+    code = main(["bound", theorem_id, "--params", params])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == want
+
+
+def test_pinned_bounds_cover_every_theorem_id(capsys):
+    # the ids as the unknown-id message lists them
+    assert main(["bound", "nope"]) == 2
+    known = capsys.readouterr().err.rstrip("\n").split("known: ")[1].split(", ")
+    assert sorted({theorem_id for theorem_id, _, _ in _PINNED_BOUNDS}) == known
+
+
 def test_bound_command_names_non_numeric_parameter(capsys):
     code = main(["bound", "mult.upper", "--params", "e_x0=abc", "delta=1"])
     err = capsys.readouterr().err
