@@ -1,21 +1,22 @@
 """Drift-theorem bound calculators.
 
-One calculator per theorem: each returns a BoundReport with the
-computed bound, the direction it bounds in, the inputs used and a
-precondition report.  Calculators are pure arithmetic; condition
-checks that need process access live in the montecarlo module and are
-attached as flags by callers.
+One calculator per theorem, listed in THEOREMS by theorem id with the
+direction it bounds in and the hypotheses it leaves unchecked.  Each
+returns a BoundReport with the computed bound and a precondition
+report.  Calculators are pure arithmetic; condition checks that need
+process access live in the montecarlo module and are attached as flags
+by callers.
 """
 
 from dataclasses import dataclass, field
 from math import ceil, exp, inf, isfinite, isnan, log, log2
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DriftError, ParameterError
 from .oracle import _double_sum
-from .processes import _whole
+from .processes import _natural, _whole
 
 # directions a bound can take
 UPPER_ON_ET = "upper_on_ET"
@@ -39,18 +40,85 @@ class PreconditionFlag:
 class BoundReport:
     """A computed bound with its provenance.
 
-    bound is clamped to [0, 1] for probability directions (NaN stays
-    NaN); the raw formula value is kept in raw.  extras carries
-    secondary outputs (tail pairs, weaker variants, tables).
+    direction and the unchecked flags come from the theorem's THEOREMS
+    entry.  For upper_tail_prob, bound is the formula's value clamped to
+    [0, 1] (NaN stays NaN) and raw the value itself; other directions
+    have no raw.  extras carries secondary outputs (tail pairs, weaker
+    variants, tables).
     """
 
     theorem_id: str
-    inputs: dict
     bound: float
     direction: str
     preconditions: tuple = ()
     raw: Optional[float] = None
     extras: dict = field(default_factory=dict)
+
+
+class Theorem(NamedTuple):
+    """A theorem's calculator, by its name in this module, the direction
+    of its bound and the names of the hypotheses no calculator checks,
+    in the order its report lists them."""
+
+    calculator: str
+    direction: str
+    unchecked: tuple = ()
+
+
+# theorem id -> Theorem.  Callers look each calculator up by name at call
+# time, so that a function replaced on this module after import is the
+# one called.
+THEOREMS = {
+    "additive.upper": Theorem("additive_upper", UPPER_ON_ET, ("drift_D", "non_negativity_NN")),
+    # the profile's step_bound_B or state_bound_UB follows
+    "additive.lower": Theorem("additive_lower", LOWER_ON_ET, ("drift_D",)),
+    "additive.overshoot.upper": Theorem("additive_overshoot_upper", UPPER_ON_ET, ("drift_D",)),
+    "mult.upper": Theorem("multiplicative_upper", UPPER_ON_ET, ("drift_D",)),
+    "mult.tail": Theorem("multiplicative_tail", UPPER_TAIL_PROB, ("drift_D", "start_bound")),
+    "mult.lower.monotone": Theorem("multiplicative_lower_monotone", LOWER_ON_ET,
+                                   ("drift_D", "monotone_M", "concentration_C")),
+    "mult.lower.bounded": Theorem("multiplicative_lower_bounded_step", LOWER_ON_ET,
+                                  ("drift_D", "step_bound_B")),
+    "var.upper": Theorem("variable_drift_upper", UPPER_ON_ET, ("drift_D",)),
+    "tail.add.upper.bounded": Theorem("additive_tail_upper_bounded", UPPER_TAIL_PROB,
+                                      ("drift_D", "step_bound_B")),
+    "tail.add.upper.concentrated": Theorem("additive_tail_upper_concentrated", UPPER_TAIL_PROB,
+                                           ("drift_D", "concentration_C")),
+    "tail.add.lower.bounded": Theorem("additive_tail_lower_bounded", UPPER_TAIL_PROB,
+                                      ("drift_D", "step_bound_B")),
+    "tail.add.lower.concentrated": Theorem("additive_tail_lower_concentrated", UPPER_TAIL_PROB,
+                                           ("drift_D", "concentration_C")),
+    "neg.515": Theorem("negative_drift_escape", UPPER_TAIL_PROB, ("drift_D", "step_bound_B")),
+    "fss.upper": Theorem("finite_state_upper", UPPER_ON_ET,
+                         ("down_prob_lb", "up_prob_ub", "up_steps_of_1")),
+    "fss.lower": Theorem("finite_state_lower", LOWER_ON_ET,
+                         ("down_prob_ub", "down_steps_of_1", "up_prob_lb")),
+    "headwind": Theorem("headwind_upper", UPPER_ON_ET),
+    "headwind.closed": Theorem("headwind_closed", UPPER_ON_ET),
+    "updrift": Theorem("updrift_upper", UPPER_ON_ET, ("binomial_domination", "gain_at_zero")),
+    "levelbased": Theorem("level_based", UPPER_ON_ET, ("drift_D", "zero_condition")),
+    "flm.upper": Theorem("flm_upper", UPPER_ON_ET, ("monotone_levels",)),
+    "flm.visit.lower": Theorem("flm_visit_lower", LOWER_ON_ET, ("monotone_levels",)),
+    "flm.visit.upper": Theorem("flm_visit_upper", UPPER_ON_ET, ("monotone_levels",)),
+    "budget.add": Theorem("fixed_budget_additive", FIXED_BUDGET_VALUE, ("drift_D",)),
+    "budget.var": Theorem("fixed_budget_variable", FIXED_BUDGET_VALUE, ("drift_D",)),
+    "budget.threshold": Theorem("iterated_budget_threshold", FIXED_BUDGET_VALUE),
+}
+
+
+def _report(theorem_id: str, value: float, computed: tuple = (), chosen: tuple = (),
+            **extras) -> BoundReport:
+    """The report of value, theorem_id's bound: its flags are the computed
+    ones, then the theorem's unchecked hypotheses, then those the
+    arguments chose (unchecked too).  A tail probability keeps value as
+    raw, and its bound is value clamped to [0, 1]."""
+    _, direction, unchecked = THEOREMS[theorem_id]
+    flags = computed + tuple(PreconditionFlag(name, UNCHECKED) for name in unchecked + chosen)
+    if direction != UPPER_TAIL_PROB:
+        return BoundReport(theorem_id, value, direction, flags, extras=extras)
+    # a NaN tail stays NaN, so a bad input never reads as a bound of 0
+    bound = value if isnan(value) else min(1.0, max(0.0, value))
+    return BoundReport(theorem_id, bound, direction, flags, raw=value, extras=extras)
 
 
 @dataclass(frozen=True)
@@ -107,12 +175,6 @@ def _grid_flags(h: DriftFunction, lo: float, hi: float) -> dict:
             for name, ok, detail in checks}
 
 
-def _clamp_prob(value: float) -> float:
-    """value clipped to [0, 1]; NaN stays NaN, so a bad input never
-    reads as a bound of 0."""
-    return value if isnan(value) else min(1.0, max(0.0, value))
-
-
 # ---------------------------------------------------------------------------
 # Additive drift
 # ---------------------------------------------------------------------------
@@ -123,16 +185,7 @@ def additive_upper(e_x0: float, delta: float) -> BoundReport:
         raise ParameterError("delta must be positive")
     if e_x0 < 0:
         raise ParameterError("E[X0] must be non-negative")
-    return BoundReport(
-        theorem_id="additive.upper",
-        inputs={"E_X0": e_x0, "delta": delta},
-        bound=e_x0 / delta,
-        direction=UPPER_ON_ET,
-        preconditions=(
-            PreconditionFlag("drift_D", UNCHECKED, "drift >= delta"),
-            PreconditionFlag("non_negativity_NN", UNCHECKED),
-        ),
-    )
+    return _report("additive.upper", e_x0 / delta)
 
 
 def additive_lower(
@@ -151,16 +204,7 @@ def additive_lower(
     if profile not in ("bounded_steps", "bounded_state"):
         raise ParameterError(f"unknown precondition profile {profile!r}")
     flag_name = "step_bound_B" if profile == "bounded_steps" else "state_bound_UB"
-    return BoundReport(
-        theorem_id="additive.lower",
-        inputs={"E_X0": e_x0, "delta": delta, "c": c, "profile": profile},
-        bound=e_x0 / delta,
-        direction=LOWER_ON_ET,
-        preconditions=(
-            PreconditionFlag("drift_D", UNCHECKED, "drift <= delta"),
-            PreconditionFlag(flag_name, UNCHECKED, f"c = {c}"),
-        ),
-    )
+    return _report("additive.lower", e_x0 / delta, chosen=(flag_name,))
 
 
 def additive_overshoot_upper(e_x0: float, e_xt: float, delta: float) -> BoundReport:
@@ -169,13 +213,7 @@ def additive_overshoot_upper(e_x0: float, e_xt: float, delta: float) -> BoundRep
         raise ParameterError("delta must be positive")
     if e_xt > 0:
         raise ParameterError("E[X_T] must be <= 0 at the first crossing")
-    return BoundReport(
-        theorem_id="additive.overshoot.upper",
-        inputs={"E_X0": e_x0, "E_XT": e_xt, "delta": delta},
-        bound=(e_x0 - e_xt) / delta,
-        direction=UPPER_ON_ET,
-        preconditions=(PreconditionFlag("drift_D", UNCHECKED),),
-    )
+    return _report("additive.overshoot.upper", (e_x0 - e_xt) / delta)
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +228,7 @@ def multiplicative_upper(e_x0: float, delta: float) -> BoundReport:
         raise ParameterError(
             "E[X0] must be >= 1 (the process lives on {0, 1} and values above 1)"
         )
-    return BoundReport(
-        theorem_id="mult.upper",
-        inputs={"E_X0": e_x0, "delta": delta},
-        bound=(1.0 + log(e_x0)) / delta,
-        direction=UPPER_ON_ET,
-        preconditions=(
-            PreconditionFlag("drift_D", UNCHECKED, "drift >= delta * X_t"),
-        ),
-    )
+    return _report("mult.upper", (1.0 + log(e_x0)) / delta)
 
 
 def multiplicative_tail(s: float, delta: float, k: float) -> BoundReport:
@@ -209,19 +239,7 @@ def multiplicative_tail(s: float, delta: float, k: float) -> BoundReport:
         raise ParameterError("s must be >= 1")
     if k <= 0:
         raise ParameterError("k must be positive")
-    raw = exp(-k)
-    return BoundReport(
-        theorem_id="mult.tail",
-        inputs={"s": s, "delta": delta, "k": k},
-        bound=_clamp_prob(raw),
-        direction=UPPER_TAIL_PROB,
-        raw=raw,
-        extras={"time_threshold": (k + log(s)) / delta},
-        preconditions=(
-            PreconditionFlag("drift_D", UNCHECKED),
-            PreconditionFlag("start_bound", UNCHECKED, "X0 <= s"),
-        ),
-    )
+    return _report("mult.tail", exp(-k), time_threshold=(k + log(s)) / delta)
 
 
 def multiplicative_lower_monotone(x0: float, delta: float, beta: float) -> BoundReport:
@@ -232,20 +250,8 @@ def multiplicative_lower_monotone(x0: float, delta: float, beta: float) -> Bound
         raise ParameterError("delta and beta must lie in (0, 1)")
     if x0 <= 1.0:
         raise ParameterError("X0 must exceed 1")
-    main = log(x0) / delta * (1.0 - beta) / (1.0 + beta)
-    weak = log(x0) / delta * (1.0 - 2.0 * beta)
-    return BoundReport(
-        theorem_id="mult.lower.monotone",
-        inputs={"X0": x0, "delta": delta, "beta": beta},
-        bound=main,
-        direction=LOWER_ON_ET,
-        extras={"weaker_variant": weak},
-        preconditions=(
-            PreconditionFlag("drift_D", UNCHECKED, "drift <= delta * s"),
-            PreconditionFlag("monotone_M", UNCHECKED),
-            PreconditionFlag("concentration_C", UNCHECKED),
-        ),
-    )
+    return _report("mult.lower.monotone", log(x0) / delta * (1.0 - beta) / (1.0 + beta),
+                   weaker_variant=log(x0) / delta * (1.0 - 2.0 * beta))
 
 
 def multiplicative_lower_bounded_step(
@@ -260,16 +266,7 @@ def multiplicative_lower_bounded_step(
     if x0 < x_min:
         raise ParameterError("X0 must be at least x_min")
     denom = 2.0 * delta + c * c / (x_min * x_min - c * c)
-    return BoundReport(
-        theorem_id="mult.lower.bounded",
-        inputs={"X0": x0, "delta": delta, "c": c, "x_min": x_min},
-        bound=(1.0 + log(x0) - log(x_min)) / denom,
-        direction=LOWER_ON_ET,
-        preconditions=(
-            PreconditionFlag("drift_D", UNCHECKED, "drift <= delta * X_t"),
-            PreconditionFlag("step_bound_B", UNCHECKED, f"c = {c}"),
-        ),
-    )
+    return _report("mult.lower.bounded", (1.0 + log(x0) - log(x_min)) / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +300,12 @@ def variable_drift_upper(h: DriftFunction, x_min: float, x0: float) -> BoundRepo
         raise ParameterError("x_min must be positive")
     if x0 < x_min:
         raise ParameterError("X0 must be at least x_min")
-    flags = [_grid_flags(h, x_min, x0)["h_monotone"]]
+    monotone = _grid_flags(h, x_min, x0)["h_monotone"]
     h_min = h.eval(x_min)
     if h_min <= 0:
         raise ParameterError("h must be positive at x_min")
     integral = _reciprocal_integral("var.upper", lambda z: 1.0 / h.eval(z), x_min, x0)
-    return BoundReport(
-        theorem_id="var.upper",
-        inputs={"x_min": x_min, "X0": x0},
-        bound=1.0 / h_min + integral,
-        direction=UPPER_ON_ET,
-        preconditions=tuple(flags)
-        + (PreconditionFlag("drift_D", UNCHECKED, "drift >= h(X_t)"),),
-    )
+    return _report("var.upper", 1.0 / h_min + integral, (monotone,))
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +318,7 @@ def additive_tail_upper_bounded(n: float, delta: float, c: float, s: float) -> B
         raise ParameterError("delta and c must be positive")
     if s < 2.0 * n / delta:
         raise ParameterError("s must be at least 2n/delta")
-    raw = exp(-s * delta * delta / (8.0 * c * c))
-    return BoundReport(
-        theorem_id="tail.add.upper.bounded",
-        inputs={"n": n, "delta": delta, "c": c, "s": s},
-        bound=_clamp_prob(raw),
-        direction=UPPER_TAIL_PROB,
-        raw=raw,
-        preconditions=(
-            PreconditionFlag("drift_D", UNCHECKED, "drift >= delta"),
-            PreconditionFlag("step_bound_B", UNCHECKED, f"|steps| <= {c}"),
-        ),
-    )
+    return _report("tail.add.upper.bounded", exp(-s * delta * delta / (8.0 * c * c)))
 
 
 def additive_tail_upper_concentrated(
@@ -351,19 +330,9 @@ def additive_tail_upper_concentrated(
     if s < 2.0 * n / delta:
         raise ParameterError("s must be at least 2n/delta")
     inner = min(eps / 4.0, delta * eps**3 / (256.0 * c))
-    raw = exp(-s * delta / 4.0 * inner)
-    return BoundReport(
-        theorem_id="tail.add.upper.concentrated",
-        inputs={"n": n, "delta": delta, "c": c, "eps": eps, "s": s},
-        bound=_clamp_prob(raw),
-        direction=UPPER_TAIL_PROB,
-        raw=raw,
-        extras={"min_branch": "eps/4" if eps / 4.0 <= delta * eps**3 / (256.0 * c) else "delta*eps^3/(256c)"},
-        preconditions=(
-            PreconditionFlag("drift_D", UNCHECKED),
-            PreconditionFlag("concentration_C", UNCHECKED),
-        ),
-    )
+    branch = "eps/4" if eps / 4.0 <= delta * eps**3 / (256.0 * c) else "delta*eps^3/(256c)"
+    return _report("tail.add.upper.concentrated", exp(-s * delta / 4.0 * inner),
+                   min_branch=branch)
 
 
 def additive_tail_lower_bounded(n: float, delta: float, c: float, s: float) -> BoundReport:
@@ -372,19 +341,7 @@ def additive_tail_lower_bounded(n: float, delta: float, c: float, s: float) -> B
         raise ParameterError("delta, c and s must be positive")
     if s > n / (2.0 * delta):
         raise ParameterError("s must be at most n/(2 delta)")
-    raw = exp(-n * n / (8.0 * c * c * s))
-    return BoundReport(
-        theorem_id="tail.add.lower.bounded",
-        inputs={"n": n, "delta": delta, "c": c, "s": s},
-        bound=_clamp_prob(raw),
-        direction=UPPER_TAIL_PROB,
-        raw=raw,
-        extras={"tail_event": "T < s"},
-        preconditions=(
-            PreconditionFlag("drift_D", UNCHECKED, "drift <= delta"),
-            PreconditionFlag("step_bound_B", UNCHECKED),
-        ),
-    )
+    return _report("tail.add.lower.bounded", exp(-n * n / (8.0 * c * c * s)), tail_event="T < s")
 
 
 def additive_tail_lower_concentrated(
@@ -396,19 +353,7 @@ def additive_tail_lower_concentrated(
     if s > n / (2.0 * delta):
         raise ParameterError("s must be at most n/(2 delta)")
     inner = min(eps / 4.0, n * eps**3 / (256.0 * c * s))
-    raw = exp(-n / 4.0 * inner)
-    return BoundReport(
-        theorem_id="tail.add.lower.concentrated",
-        inputs={"n": n, "delta": delta, "c": c, "eps": eps, "s": s},
-        bound=_clamp_prob(raw),
-        direction=UPPER_TAIL_PROB,
-        raw=raw,
-        extras={"tail_event": "T < s"},
-        preconditions=(
-            PreconditionFlag("drift_D", UNCHECKED),
-            PreconditionFlag("concentration_C", UNCHECKED),
-        ),
-    )
+    return _report("tail.add.lower.concentrated", exp(-n / 4.0 * inner), tail_event="T < s")
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +369,7 @@ def negative_drift_escape(n: float, eps: float, c: float, s: float) -> BoundRepo
         raise ParameterError("eps must be negative (drift away from the target)")
     if s < 0:
         raise ParameterError("s must be non-negative")
-    raw = s * exp(-n * abs(eps) / (2.0 * c * c))
-    return BoundReport(
-        theorem_id="neg.515",
-        inputs={"n": n, "eps": eps, "c": c, "s": s},
-        bound=_clamp_prob(raw),
-        direction=UPPER_TAIL_PROB,
-        raw=raw,
-        extras={"tail_event": "T <= s"},
-        preconditions=(
-            PreconditionFlag("drift_D", UNCHECKED, "drift <= eps < 0"),
-            PreconditionFlag("step_bound_B", UNCHECKED, f"|steps| < {c}"),
-        ),
-    )
+    return _report("neg.515", s * exp(-n * abs(eps) / (2.0 * c * c)), tail_event="T <= s")
 
 
 # ---------------------------------------------------------------------------
@@ -449,36 +382,14 @@ def finite_state_upper(p_leave: tuple, p_back: tuple, x0: int) -> BoundReport:
     p_leave[s-1] lower-bounds the probability of decreasing from s,
     p_back[s] upper-bounds the probability of increasing from s.
     """
-    value = _double_sum(p_leave, p_back, x0)
-    return BoundReport(
-        theorem_id="fss.upper",
-        inputs={"n": len(p_leave), "X0": x0},
-        bound=value,
-        direction=UPPER_ON_ET,
-        preconditions=(
-            PreconditionFlag("down_prob_lb", UNCHECKED),
-            PreconditionFlag("up_prob_ub", UNCHECKED),
-            PreconditionFlag("up_steps_of_1", UNCHECKED),
-        ),
-    )
+    return _report("fss.upper", _double_sum(p_leave, p_back, x0, ("p_leave", "p_back", "x0")))
 
 
 def finite_state_lower(p_fwd: tuple, p_back_lb: tuple, x0: int) -> BoundReport:
     """Double-sum lower bound; p_fwd[s-1] upper-bounds the probability
     of decreasing (by exactly 1) from s, p_back_lb[s] lower-bounds the
     probability of increasing from s."""
-    value = _double_sum(p_fwd, p_back_lb, x0)
-    return BoundReport(
-        theorem_id="fss.lower",
-        inputs={"n": len(p_fwd), "X0": x0},
-        bound=value,
-        direction=LOWER_ON_ET,
-        preconditions=(
-            PreconditionFlag("down_prob_ub", UNCHECKED),
-            PreconditionFlag("down_steps_of_1", UNCHECKED),
-            PreconditionFlag("up_prob_lb", UNCHECKED),
-        ),
-    )
+    return _report("fss.lower", _double_sum(p_fwd, p_back_lb, x0, ("p_fwd", "p_back_lb", "x0")))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +402,8 @@ class HeadwindParams:
 
     p_minus[i] and p_plus[i] are indexed by state i in [0..n]
     (p_minus[0] unused); delta[i] is the drift-minus-backflow value at
-    state i; kappa bounds the zone where delta is non-positive.
+    state i; kappa, at most n, bounds the zone where delta is
+    non-positive.
     """
 
     p_minus: tuple
@@ -503,6 +415,8 @@ class HeadwindParams:
         n = len(self.delta) - 1
         if len(self.p_minus) != n + 1 or len(self.p_plus) != n + 1:
             raise ParameterError("p_minus, p_plus and delta must share length n+1")
+        if self.kappa > n:
+            raise ParameterError(f"kappa {self.kappa} above the top state n = {n}")
         last_nonpos = max(
             (i for i in range(n + 1) if self.delta[i] <= 0), default=0
         )
@@ -535,7 +449,7 @@ def headwind_g(params: HeadwindParams) -> list:
     g = [0.0] * (n + 2)
     for i in range(n - 1, params.kappa - 1, -1):
         g[i] = g[i + 1] + 1.0 / params.delta[i + 1]
-    for i in range(min(params.kappa, n) - 1, -1, -1):
+    for i in range(params.kappa - 1, -1, -1):
         pp = params.p_plus[i + 1]
         pm = params.p_minus[i + 1]
         g[i] = (1.0 + (pp + pm) * g[i + 1]) / pm
@@ -547,14 +461,7 @@ def headwind_upper(params: HeadwindParams, x0: int) -> BoundReport:
     if not (0 <= x0 <= params.n):
         raise ParameterError(f"X0 outside [0..{params.n}]")
     g = headwind_g(params)
-    return BoundReport(
-        theorem_id="headwind",
-        inputs={"n": params.n, "kappa": params.kappa, "X0": x0},
-        bound=g[0] - g[x0],
-        direction=UPPER_ON_ET,
-        extras={"g_table": tuple(g)},
-        preconditions=(_headwind_monotone_flag(params),),
-    )
+    return _report("headwind", g[0] - g[x0], (_headwind_monotone_flag(params),), g_table=tuple(g))
 
 
 def headwind_closed(params: HeadwindParams) -> BoundReport:
@@ -569,13 +476,8 @@ def headwind_closed(params: HeadwindParams) -> BoundReport:
     for k in range(1, kappa + 1):
         loop_sum += prod / params.p_minus[k]
         prod *= (params.p_plus[k] + params.p_minus[k]) / params.p_minus[k]
-    return BoundReport(
-        theorem_id="headwind.closed",
-        inputs={"n": n, "kappa": kappa},
-        bound=tail_sum * prod + loop_sum,
-        direction=UPPER_ON_ET,
-        preconditions=(_headwind_monotone_flag(params),),
-    )
+    flag = _headwind_monotone_flag(params)
+    return _report("headwind.closed", tail_sum * prod + loop_sum, (flag,))
 
 
 # ---------------------------------------------------------------------------
@@ -631,20 +533,7 @@ def updrift_upper(params: UpDriftParams) -> BoundReport:
             + 81.0
         )
         regime = "delta>1"
-    return BoundReport(
-        theorem_id="updrift",
-        inputs={
-            "n": params.n, "k": params.k, "E0": params.e0,
-            "gamma0": params.gamma0, "delta": params.delta, "D0": d0,
-        },
-        bound=bound,
-        direction=UPPER_ON_ET,
-        extras={"regime": regime},
-        preconditions=(
-            PreconditionFlag("binomial_domination", UNCHECKED),
-            PreconditionFlag("gain_at_zero", UNCHECKED, f"E0 = {params.e0}"),
-        ),
-    )
+    return _report("updrift", bound, regime=regime)
 
 
 @dataclass(frozen=True)
@@ -662,6 +551,7 @@ class LevelBasedParams:
     def __post_init__(self):
         if self.m < 2:
             raise ParameterError("need at least 2 levels")
+        _natural("levelbased", "lam", self.lam, least=1)
         if len(self.z) != self.m - 1:
             raise ParameterError("need one z_j per level below the top")
         if any(not (0.0 < zj <= 1.0) for zj in self.z):
@@ -704,28 +594,12 @@ def level_based(params: LevelBasedParams) -> BoundReport:
     t0 = level_based_t0(params)
     ps_rhs = 256.0 / (params.gamma0 * params.delta) * log(8.0 * t0)
     ps_ok = params.lam >= ps_rhs
-    bound = 8.0 * params.lam * t0 if ps_ok else float("nan")
-    return BoundReport(
-        theorem_id="levelbased",
-        inputs={
-            "m": params.m, "lambda": params.lam, "delta": params.delta,
-            "gamma0": params.gamma0, "z": tuple(params.z),
-        },
-        bound=bound,
-        direction=UPPER_ON_ET,
-        extras={
-            "t0": t0,
-            "c1_form": params.C1 * params.lam / params.delta * t0 / (7000.0 / params.delta),
-            "minimal_lambda": _level_based_minimal_lambda(params),
-        },
-        preconditions=(
-            PreconditionFlag(
-                "population_size_PS", PASS if ps_ok else FAIL,
-                f"lambda {params.lam} vs required {ps_rhs:.3f}",
-            ),
-            PreconditionFlag("drift_D", UNCHECKED),
-            PreconditionFlag("zero_condition", UNCHECKED),
-        ),
+    ps = PreconditionFlag("population_size_PS", PASS if ps_ok else FAIL,
+                          f"lambda {params.lam} vs required {ps_rhs:.3f}")
+    return _report(
+        "levelbased", 8.0 * params.lam * t0 if ps_ok else float("nan"), (ps,), t0=t0,
+        c1_form=params.C1 * params.lam / params.delta * t0 / (7000.0 / params.delta),
+        minimal_lambda=_level_based_minimal_lambda(params),
     )
 
 
@@ -764,36 +638,23 @@ def _level_based_minimal_lambda(params: LevelBasedParams) -> Optional[int]:
 
 def flm_upper(levels: LevelProfile) -> BoundReport:
     """Sum of reciprocal leave probabilities (p_i lower bounds)."""
-    return BoundReport(
-        theorem_id="flm.upper",
-        inputs={"m": levels.m},
-        bound=float(sum(1.0 / p for p in levels.p)),
-        direction=UPPER_ON_ET,
-        preconditions=(PreconditionFlag("monotone_levels", UNCHECKED),),
-    )
+    return _report("flm.upper", float(sum(1.0 / p for p in levels.p)))
 
 
-def _flm_visit(levels: LevelProfile, theorem_id: str, direction: str) -> BoundReport:
+def _flm_visit(levels: LevelProfile, theorem_id: str) -> BoundReport:
     if levels.v is None:
         raise ParameterError("visit-probability variant requires v")
-    value = float(sum(v / p for v, p in zip(levels.v, levels.p)))
-    return BoundReport(
-        theorem_id=theorem_id,
-        inputs={"m": levels.m},
-        bound=value,
-        direction=direction,
-        preconditions=(PreconditionFlag("monotone_levels", UNCHECKED),),
-    )
+    return _report(theorem_id, float(sum(v / p for v, p in zip(levels.v, levels.p))))
 
 
 def flm_visit_lower(levels: LevelProfile) -> BoundReport:
     """Sum of v_i/p_i with p_i upper bounds and v_i lower bounds."""
-    return _flm_visit(levels, "flm.visit.lower", LOWER_ON_ET)
+    return _flm_visit(levels, "flm.visit.lower")
 
 
 def flm_visit_upper(levels: LevelProfile) -> BoundReport:
     """Sum of v_i/p_i with p_i lower bounds and v_i upper bounds."""
-    return _flm_visit(levels, "flm.visit.upper", UPPER_ON_ET)
+    return _flm_visit(levels, "flm.visit.upper")
 
 
 # ---------------------------------------------------------------------------
@@ -817,14 +678,7 @@ def fixed_budget_additive(
             raise ParameterError("probability must lie in [0, 1]")
         value = x0 - t * delta * pr_t_le_t
         variant = "limited"
-    return BoundReport(
-        theorem_id="budget.add",
-        inputs={"X0": x0, "delta": delta, "t": t, "pr_t_le_T": pr_t_le_t},
-        bound=value,
-        direction=FIXED_BUDGET_VALUE,
-        extras={"variant": variant},
-        preconditions=(PreconditionFlag("drift_D", UNCHECKED),),
-    )
+    return _report("budget.add", value, variant=variant)
 
 
 def _h_tilde_derivative_at_zero(h: DriftFunction) -> float:
@@ -859,18 +713,9 @@ def fixed_budget_variable(
         if d0 <= 0.0:
             raise ParameterError(f"the limited variant needs h~'(0) > 0, got {d0}")
         if d0 > 1.0:
-            flags = flags + (
-                PreconditionFlag("h_tilde_slope_at_0", FAIL, f"h~'(0) = {d0}"),
-            )
+            flags += (PreconditionFlag("h_tilde_slope_at_0", FAIL, f"h~'(0) = {d0}"),)
         value = value + (0.0 - h.eval(0.0)) / d0
-    return BoundReport(
-        theorem_id="budget.var",
-        inputs={"X0": x0, "t": t, "variant": variant},
-        bound=value,
-        direction=FIXED_BUDGET_VALUE,
-        extras={"iterate": x},
-        preconditions=flags + (PreconditionFlag("drift_D", UNCHECKED),),
-    )
+    return _report("budget.var", value, flags, iterate=x)
 
 
 def iterated_budget_threshold(
@@ -881,7 +726,7 @@ def iterated_budget_threshold(
     or sum over integers [x..y-1] (integer domain)."""
     if x > y:
         raise ParameterError("need x <= y")
-    flags = [_grid_flags(h, x, max(y, x + 1e-9))["h_monotone"]]
+    monotone = _grid_flags(h, x, max(y, x + 1e-9))["h_monotone"]
 
     def reciprocal(z):
         hz = h.eval(z)
@@ -897,14 +742,7 @@ def iterated_budget_threshold(
         t = ceil(sum(reciprocal(float(i)) for i in range(int(x), int(y))))
     else:
         raise ParameterError(f"unknown domain {domain!r}")
-    return BoundReport(
-        theorem_id="budget.threshold",
-        inputs={"x": x, "y": y, "domain": domain},
-        bound=float(t),
-        direction=FIXED_BUDGET_VALUE,
-        extras={"budget": int(t)},
-        preconditions=tuple(flags),
-    )
+    return _report("budget.threshold", float(t), (monotone,), budget=int(t))
 
 
 # ---------------------------------------------------------------------------

@@ -213,39 +213,10 @@ def _bind(what: str, fn, params: dict):
     return fn(**_arguments(what, fn, params))
 
 
-# theorem id -> its calculator in `bounds`, looked up by name at call time so
-# that a function replaced on `bounds` after import is the one called
-_CALCULATORS = {
-    "additive.upper": "additive_upper",
-    "additive.lower": "additive_lower",
-    "additive.overshoot.upper": "additive_overshoot_upper",
-    "mult.upper": "multiplicative_upper",
-    "mult.tail": "multiplicative_tail",
-    "mult.lower.monotone": "multiplicative_lower_monotone",
-    "mult.lower.bounded": "multiplicative_lower_bounded_step",
-    "var.upper": "variable_drift_upper",
-    "tail.add.upper.bounded": "additive_tail_upper_bounded",
-    "tail.add.upper.concentrated": "additive_tail_upper_concentrated",
-    "tail.add.lower.bounded": "additive_tail_lower_bounded",
-    "tail.add.lower.concentrated": "additive_tail_lower_concentrated",
-    "neg.515": "negative_drift_escape",
-    "fss.upper": "finite_state_upper",
-    "fss.lower": "finite_state_lower",
-    "headwind": "headwind_upper",
-    "headwind.closed": "headwind_closed",
-    "updrift": "updrift_upper",
-    "levelbased": "level_based",
-    "flm.upper": "flm_upper",
-    "flm.visit.lower": "flm_visit_lower",
-    "flm.visit.upper": "flm_visit_upper",
-    "budget.add": "fixed_budget_additive",
-    "budget.var": "fixed_budget_variable",
-    "budget.threshold": "iterated_budget_threshold",
-}
-
-
 def _calculate(theorem_id: str, params: dict) -> bounds.BoundReport:
-    return _bind(theorem_id, getattr(bounds, _CALCULATORS[theorem_id]), params)
+    # by name at call time, so that a function replaced on `bounds` after
+    # import is the one called
+    return _bind(theorem_id, getattr(bounds, bounds.THEOREMS[theorem_id].calculator), params)
 
 
 def _flags_text(report: bounds.BoundReport) -> str:
@@ -292,7 +263,7 @@ def load_config(path: str) -> dict:
     if parser.has_section("theorems"):
         for key, value in parser.items("theorems"):
             cfg["theorems"].append((key, _parse_params(key, value)))
-    unknown = [t for t, _ in cfg["theorems"] if t not in _CALCULATORS]
+    unknown = [t for t, _ in cfg["theorems"] if t not in bounds.THEOREMS]
     if unknown:
         raise ConfigError(f"unknown theorem ids: {', '.join(sorted(unknown))}")
     return cfg
@@ -360,10 +331,10 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.theorem_id not in _CALCULATORS:
+    if args.theorem_id not in bounds.THEOREMS:
         raise ConfigError(
             f"unknown theorem id {args.theorem_id!r}; known: "
-            f"{', '.join(sorted(_CALCULATORS))}"
+            f"{', '.join(sorted(bounds.THEOREMS))}"
         )
     report = _calculate(args.theorem_id, _parse_params(args.theorem_id, *args.params))
     sys.stdout.write(

@@ -261,12 +261,13 @@ def hitting_time_exact(chain: FiniteChain) -> HittingTimeSolution:
 _TINY = 2.0**-1022  # the least normal float
 
 
-def _double_sum(p_down, p_up, start: int) -> float:
+def _double_sum(p_down, p_up, start: int, names=("p_down", "p_up", "start")) -> float:
     """Sum over start levels s of the inner sums S_s = sum over i >= s of
     the reciprocal down-probability weighted by the up/down ratio product.
 
     p_down[s-1] belongs to state s in [1..n], p_up[s] to state s in
-    [0..n-1] (p_up[0] is unused).  One pass from the top takes
+    [0..n-1] (p_up[0] is unused).  An error names the three arguments by
+    names, the caller's keys for them.  One pass from the top takes
     S_s = 1/p_down(s) + p_up(s)/p_down(s) * S_{s+1}, a zero ratio ending
     the inner sum exactly.  S_{s+1} is carried as m * 2**e, e >= 0, so an
     inner sum beyond the float range can come back into it further down;
@@ -278,15 +279,16 @@ def _double_sum(p_down, p_up, start: int) -> float:
     p_down = [float(p) for p in p_down]
     p_up = [float(p) for p in p_up]
     n = len(p_down)
+    down, up, first = names
     if len(p_up) != n:
-        raise ParameterError("p_up must cover states [0..n-1]")
+        raise ParameterError(f"{up} must cover states [0..n-1]")
     if not (0 <= start <= n):
-        raise ParameterError(f"start {start} outside [0..{n}]")
+        raise ParameterError(f"{first} {start} outside [0..{n}]")
     for s, (pd, pu) in enumerate(zip(p_down, [*p_up[1:], 0.0]), start=1):
         if not (0.0 < pd < inf):
-            raise ParameterError(f"p_down at state {s} must be positive and finite, got {pd!r}")
+            raise ParameterError(f"{down} at state {s} must be positive and finite, got {pd!r}")
         if not (0.0 <= pu < inf):
-            raise ParameterError(f"p_up at state {s} must be non-negative and finite, got {pu!r}")
+            raise ParameterError(f"{up} at state {s} must be non-negative and finite, got {pu!r}")
     m, e, total = 0.0, 0, 0.0
     for s in range(n, 0, -1):
         pd = p_down[s - 1]

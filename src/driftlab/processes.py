@@ -138,9 +138,9 @@ class Process:
         between them.  The rest are stepped trial by trial, as is None,
         where only step itself says.  to_finite_chain builds the chain
         of a BitFlipEA, or of a UniformPick walk with a FlipBit move
-        (RLS, 2-SAT, recolour) or a SwapInversion move (sorting), by one
-        array route from integer codes of its states, reading the law
-        itself; vertex cover and the KernelDraw chains keep its loop over
+        (RLS, 2-SAT, recolour, vertex cover) or a SwapInversion move
+        (sorting), by one array route from integer codes of its states,
+        reading the law itself; the KernelDraw chains keep its loop over
         exact_kernel.  lift keeps the law; a process given another step,
         target or kernel must drop it.
     """
@@ -863,10 +863,11 @@ def make_graph_process(kind: str, instance: GraphInstance) -> Process:
     zero agreement on U implies that, because every triangle has one
     vertex in each planted class.
 
-    vertex_cover: states are (vertices chosen so far, chosen set);
-    while an uncovered edge exists, one is chosen uniformly and a
-    uniform endpoint is added.  The value counts planted-cover vertices
-    still missing.
+    vertex_cover: states are 0/1 tuples over the vertices, 1 for a
+    chosen vertex, starting from none; while an uncovered edge exists,
+    one is chosen uniformly and a uniform endpoint is chosen too (a
+    FlipBit of an unchosen vertex).  The value counts planted-cover
+    vertices still missing.
     """
     if kind == "recolour":
         return _make_recolour(instance)
@@ -922,21 +923,17 @@ def _make_vertex_cover(instance: GraphInstance) -> Process:
     cover = instance.cover
     edges = instance.edges
 
-    def uncovered(state):
-        chosen = state[1]
-        return [e for e in edges if e[0] not in chosen and e[1] not in chosen]
+    def uncovered(chosen):
+        return [e for e in edges if not chosen[e[0]] and not chosen[e[1]]]
 
-    def value(state):
+    def value(chosen):
         # the built process's is_target shares its memo of uncovered edges
-        return 0.0 if process.is_target(state) else float(len(cover - state[1]))
+        return 0.0 if process.is_target(chosen) else float(sum(1 - chosen[v] for v in cover))
 
-    def add(state, v):
-        count, chosen = state
-        return (count + 1, chosen | {v})
-
-    start = (0, frozenset())
+    # an uncovered edge's endpoints are unchosen, so a flip adds one
+    start = (0,) * instance.n
     process = _pick_process(
-        f"vertex_cover(n={instance.n})", UniformPick(uncovered, add),
+        f"vertex_cover(n={instance.n})", UniformPick(uncovered, FlipBit((0, 1))),
         lambda rng: start, value, ((start, 1.0),),
     )
     return process
@@ -1016,8 +1013,8 @@ def to_finite_chain(process: Process, max_states: int = 10_000) -> FiniteChain:
     SwapInversion move, whenever every start state is a tuple of n
     entries over k values with k^n < 2^63: 0 and 1 for the EA, the
     FlipBit's two values, or for a swap walk the n distinct entries of
-    its first start, which every start state must order.  Vertex cover,
-    the kernel chains and every other process or start take the loop.
+    its first start, which every start state must order.  The kernel
+    chains and every other process or start take the loop.
     """
     if process.exact_kernel is None:
         raise UnsupportedError(f"{process.name} has no exact kernel")

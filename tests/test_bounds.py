@@ -265,6 +265,14 @@ def test_headwind_kappa_must_cover_nonpositive_drift():
         )
 
 
+def test_headwind_kappa_must_not_pass_the_top_state():
+    params = dict(p_minus=(0.0, 0.5, 0.5), p_plus=(0.0, 0.1, 0.1), delta=(0.0, 0.4, 0.4))
+    assert headwind_closed(HeadwindParams(**params, kappa=2)).bound == pytest.approx(
+        headwind_g(HeadwindParams(**params, kappa=2))[0], rel=1e-12)
+    with pytest.raises(errors.ParameterError, match="kappa 3 above the top state n = 2"):
+        HeadwindParams(**params, kappa=3)
+
+
 def test_headwind_monotone_flag_detects_non_monotone_delta():
     params = HeadwindParams(
         p_minus=(0.0, 0.2, 0.3, 0.4),
@@ -321,6 +329,12 @@ def test_level_based_validation():
         LevelBasedParams(m=3, lam=101, delta=0.5, gamma0=0.5, z=(0.1, 0.1))
     with pytest.raises(errors.ParameterError):
         LevelBasedParams(m=3, lam=100, delta=0.5, gamma0=0.8, z=(0.1, 0.1))
+
+
+@pytest.mark.parametrize("lam", [0, -4, -10**12, 2.5])
+def test_level_based_population_is_a_whole_number_from_one(lam):
+    with pytest.raises(errors.ParameterError, match="'lam'"):
+        LevelBasedParams(m=3, lam=lam, delta=0.5, gamma0=0.5, z=(0.01, 0.05))
 
 
 # --- fitness levels -----------------------------------------------------

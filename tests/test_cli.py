@@ -405,7 +405,7 @@ _FIRST_PARAMETER = {
 }
 
 
-@pytest.mark.parametrize("theorem_id", sorted(cli._CALCULATORS))
+@pytest.mark.parametrize("theorem_id", sorted(bounds.THEOREMS))
 def test_bound_command_without_parameters_names_the_first(theorem_id, capsys):
     code = main(["bound", theorem_id])
     captured = capsys.readouterr()
@@ -417,7 +417,7 @@ def test_bound_command_without_parameters_names_the_first(theorem_id, capsys):
 
 def test_every_spec_parameter_has_a_converter():
     # an unannotated parameter would otherwise fail only at a user's prompt
-    targets = [getattr(bounds, name) for name in cli._CALCULATORS.values()]
+    targets = [getattr(bounds, theorem.calculator) for theorem in bounds.THEOREMS.values()]
     targets += [*processes._SIMPLE_CHAINS.values(), *cli._POTENTIALS.values()]
     for fn in targets:
         for key, kind in cli._keys(fn):
@@ -615,12 +615,24 @@ def test_bound_command_prints_inf_when_the_double_sum_overflows(capsys):
     "argv, message",
     [
         (["fss.upper", "--params", "p_leave=0.5:0.5", "p_back=0:-0.3", "x0=2"],
-         "p_up at state 1 must be non-negative and finite, got -0.3"),
+         "p_back at state 1 must be non-negative and finite, got -0.3"),
+        (["fss.upper", "--params", "p_leave=0:0.5", "p_back=0:0.3", "x0=2"],
+         "p_leave at state 1 must be positive and finite, got 0.0"),
+        (["fss.upper", "--params", "p_leave=0.5:0.5", "p_back=0:0.2:0.3", "x0=2"],
+         "p_back must cover states [0..n-1]"),
+        (["fss.upper", "--params", "p_leave=0.5:0.5", "p_back=0:0.2", "x0=3"],
+         "x0 3 outside [0..2]"),
         (["fss.lower", "--params", "p_fwd=0.5:0", "p_back_lb=0:0.3", "x0=2"],
-         "p_down at state 2 must be positive and finite, got 0.0"),
+         "p_fwd at state 2 must be positive and finite, got 0.0"),
+        (["fss.lower", "--params", "p_fwd=0.5:0.5", "p_back_lb=0:-0.1", "x0=2"],
+         "p_back_lb at state 1 must be non-negative and finite, got -0.1"),
+        (["fss.lower", "--params", "p_fwd=0.5:0.5", "p_back_lb=0", "x0=2"],
+         "p_back_lb must cover states [0..n-1]"),
+        (["fss.lower", "--params", "p_fwd=0.5:0.5", "p_back_lb=0:0.3", "x0=3"],
+         "x0 3 outside [0..2]"),
     ],
 )
-def test_double_sum_bounds_name_a_bad_probability(argv, message, capsys):
+def test_double_sum_bounds_name_their_own_keys(argv, message, capsys):
     code = main(["bound", *argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -791,6 +803,30 @@ def test_bound_command_refuses_a_fractional_count(argv, key, value, capsys):
     assert captured.err == (
         f"drift: error: {argv[1]} parameter {key!r} must be a whole number, got {value}\n"
     )
+
+
+@pytest.mark.parametrize("lam", ["0", "-4", "-1000000000000"])
+def test_bound_command_refuses_a_population_below_one(lam, capsys):
+    code = main(["bound", "levelbased", "--params",
+                 f"m=3,lam={lam},delta=0.5,gamma0=0.5,z=0.01:0.05"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"drift: error: levelbased parameter 'lam' must be at least 1, got {lam}\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["headwind.closed", "--params", "p_minus=0:0.5:0.5,p_plus=0:0.1:0.1,delta=0:0.4:0.4,kappa=3"],
+    ["headwind", "--params", "p_minus=0:0.5:0.5,p_plus=0:0.1:0.1,delta=0:0.4:0.4,kappa=3,x0=1"],
+])
+def test_bound_command_refuses_a_headwind_zone_past_the_top(argv, capsys):
+    code = main(["bound", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "drift: error: kappa 3 above the top state n = 2\n"
 
 
 def test_simulate_command(capsys):

@@ -501,7 +501,7 @@ def test_sorting_row_is_the_hand_enumeration_over_pairs():
 def test_pick_walk_without_groups_stays_and_draws_nothing():
     inst = GraphInstance(n=3, edges=((0, 1), (1, 2)), cover=frozenset({1}))
     proc = make_graph_process("vertex_cover", inst)
-    state = (1, frozenset({1}))
+    state = (0, 1, 0)
     rng = trial_rng(0, 0)
     before = rng.bit_generator.state
     assert proc.step(state, rng) == state
@@ -548,9 +548,9 @@ def test_recolour_agreement_moves_up_with_prob_one_third():
 def test_vertex_cover_value_counts_missing_cover_vertices():
     inst = GraphInstance(n=3, edges=((0, 1), (1, 2)), cover=frozenset({1}))
     proc = make_graph_process("vertex_cover", inst)
-    start = (0, frozenset())
+    start = (0, 0, 0)
     assert proc.value(start) == 1.0
-    assert proc.value((1, frozenset({1}))) == 0.0
+    assert proc.value((0, 1, 0)) == 0.0
 
 
 def test_vertex_cover_scans_its_edges_once_per_visited_state():
@@ -799,6 +799,10 @@ _ARRAY_CHAINS = {
        for n in (12, 11, 10)},
     "recolour(n=9)": lambda: make_graph_process(
         "recolour", processes.random_3colorable_graph(9, 0.5, seed=1)),
+    # the chain does not read the cover, so every vertex stands for it
+    **{f"vertex_cover(n={n})": lambda n=n: make_graph_process("vertex_cover", GraphInstance(
+        n=n, edges=processes.random_graph(n, 0.4, seed=n).edges, cover=frozenset(range(n))))
+       for n in (6, 9)},
     **{f"EA-leadingones(n={n},p={p})": lambda n=n, p=p: _ea(n, p)
        for n in (1, 4, 8, 10) for p in (0.1, 0.5, 0.9)},
     "EA-linear": lambda: make_ea_process("OnePlusOneEA", "linear", weights=(5, 3, 2, 1),
@@ -868,7 +872,8 @@ def test_sorting_past_fifteen_entries_takes_the_loop():
 
 
 @pytest.mark.parametrize("name", ["RLS-leadingones(n=10)", "two_sat(n=11)", "recolour(n=9)",
-                                  "EA-leadingones(n=8,p=0.1)", "sorting(n=6)", "sorting(n=7)"])
+                                  "vertex_cover(n=9)", "EA-leadingones(n=8,p=0.1)",
+                                  "sorting(n=6)", "sorting(n=7)"])
 def test_array_chains_solve_bitwise_as_the_loops(name):
     proc = _ARRAY_CHAINS[name]()
     got = hitting_time_exact(to_finite_chain(proc))
